@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the local-summary substrate: per-update
-//! cost of SpaceSaving, Misra–Gries, Greenwald–Khanna, and the
-//! order-statistic treap, plus summary extraction, merge, and the
+//! cost of SpaceSaving, Misra–Gries, Greenwald–Khanna, and the exact
+//! order-statistic store, plus summary extraction, merge, and the
 //! discrete samplers behind the workload generators.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -45,7 +45,7 @@ fn bench_order_stores(c: &mut Criterion) {
     let items = stream(2);
     let mut g = c.benchmark_group("order_store_insert");
     g.throughput(Throughput::Elements(N));
-    g.bench_function("treap", |b| {
+    g.bench_function("exact_ordered", |b| {
         b.iter(|| {
             let mut s = ExactOrdered::new();
             for &x in &items {
@@ -65,15 +65,15 @@ fn bench_order_stores(c: &mut Criterion) {
     });
     g.finish();
 
-    let mut treap = ExactOrdered::new();
+    let mut store = ExactOrdered::new();
     for &x in &items {
-        treap.insert(x);
+        store.insert(x);
     }
-    c.bench_function("treap_rank", |b| {
-        b.iter(|| treap.rank_lt(black_box(1 << 23)))
+    c.bench_function("exact_ordered_rank", |b| {
+        b.iter(|| store.rank_lt(black_box(1 << 23)))
     });
-    c.bench_function("treap_select", |b| {
-        b.iter(|| treap.select(black_box(N / 3)))
+    c.bench_function("exact_ordered_select", |b| {
+        b.iter(|| store.select(black_box(N / 3)))
     });
 }
 

@@ -604,7 +604,6 @@ pub struct AllQSite<S = ExactOrdered> {
     config: AllQConfig,
     store: S,
     tracking: Option<AqSiteTracking>,
-    path_buf: Vec<u32>,
 }
 
 /// Exact-store site.
@@ -635,7 +634,6 @@ impl<S: OrderStore> AllQSite<S> {
             config,
             store,
             tracking: None,
-            path_buf: Vec::new(),
         }
     }
 
@@ -666,10 +664,7 @@ impl<S: OrderStore> Site for AllQSite<S> {
             }
             Some(t) => t,
         };
-        self.path_buf.clear();
-        let path = &mut self.path_buf;
-        t.tree.visit_path(item, |id| path.push(id));
-        for &id in path.iter() {
+        t.tree.visit_path(item, |id| {
             let slot = &mut t.unrep[id as usize];
             *slot += 1;
             if *slot >= t.threshold {
@@ -680,7 +675,7 @@ impl<S: OrderStore> Site for AllQSite<S> {
                 });
                 *slot = 0;
             }
-        }
+        });
     }
 
     fn on_message(&mut self, msg: &AqDown, out: &mut Vec<AqUp>) {

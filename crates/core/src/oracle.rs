@@ -10,12 +10,13 @@
 //!
 //! The differential harness feeds the oracle every item but queries it only
 //! at ~16 checkpoints, so [`ExactOracle::observe`] is just a `Vec` push; the
-//! buffered arrivals are folded into the frequency map and the arena treap
-//! the first time any query needs them (interior mutability keeps the query
-//! methods `&self`). Folding the same arrivals in the same order as eager
-//! ingestion would, the oracle's answers are identical at every point where
-//! it is actually consulted — only the *timing* of the index maintenance
-//! moves, off the per-item hot path and into cache-friendly bulk runs.
+//! buffered arrivals are folded into the frequency map and the ordered
+//! store the first time any query needs them (interior mutability keeps
+//! the query methods `&self`). Folding the same arrivals in the same order
+//! as eager ingestion would, the oracle's answers are identical at every
+//! point where it is actually consulted — only the *timing* of the index
+//! maintenance moves, off the per-item hot path and into cache-friendly
+//! bulk runs.
 
 use std::cell::RefCell;
 

@@ -1297,7 +1297,7 @@ fn quantile_answers(c: &QuantileCoordinator) -> Vec<Answer> {
 }
 
 /// [`Protocol`] adapter: the §3.1 single-quantile tracker with exact
-/// (treap) sites, for the [`dtrack_sim::Tracker`] facade.
+/// ([`ExactOrdered`]) sites, for the [`dtrack_sim::Tracker`] facade.
 #[derive(Debug, Clone, Copy)]
 pub struct QuantileExactProtocol {
     config: QuantileConfig,

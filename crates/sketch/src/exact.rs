@@ -1,4 +1,4 @@
-//! Exact local stores: a frequency map and an order-statistic treap.
+//! Exact local stores: a frequency map and an order-statistic B+tree.
 //!
 //! The basic protocols of the paper assume each site "maintains the exact
 //! frequency of each x ∈ U at site Sj" (§2.1) and can answer exact rank and
@@ -8,10 +8,11 @@
 //! Both structures sit on the per-arrival hot path (every site store and
 //! the differential oracle are built from them), so they avoid the two
 //! classic per-item taxes: [`ExactFrequencies`] hashes with the
-//! deterministic Fx hash instead of SipHash, and [`ExactOrdered`] is an
-//! *arena* treap — nodes live contiguously in a `Vec` and link by `u32`
-//! index, so insertion allocates nothing after the arena has grown and
-//! lookups chase 32-bit indices in cache instead of scattered `Box`es.
+//! deterministic Fx hash instead of SipHash, and [`ExactOrdered`] is a
+//! *counted B+tree* whose wide nodes live in two `Vec` arenas and link by
+//! `u32` index. A descent visits a few levels of a few cache lines each,
+//! where a binary tree over the same keys takes one dependent cache miss
+//! per level, and an insert allocates only for the first key or a split.
 
 use dtrack_hash::FxHashMap;
 
@@ -59,34 +60,112 @@ impl ExactFrequencies {
     }
 }
 
-/// Sentinel index for "no child".
+/// Distinct keys per leaf.
+const LEAF_CAP: usize = 32;
+/// Children per inner node.
+const FANOUT: usize = 16;
+/// Most inner levels a tree can reach. A split leaves both halves with at
+/// least `FANOUT / 2` children and the root has at least two, so a tree
+/// with `h` inner levels has at least `2 · 8^(h−1)` leaves. Leaf indices
+/// are `u32` values below [`NIL`], so `2 · 8^(h−1) < 2^32`, i.e. `h ≤ 11`.
+const MAX_HEIGHT: usize = 11;
+/// Sentinel leaf index: "no next leaf".
 const NIL: u32 = u32::MAX;
 
-/// A node of the order-statistic treap: a multiset entry with subtree
-/// weight. `size` counts total multiplicity (not distinct keys) in the
-/// subtree so ranks are multiset ranks. Children are arena indices.
+/// A leaf: `len` distinct keys in ascending order with their
+/// multiplicities, and the leaf holding the next larger keys.
 #[derive(Debug, Clone)]
-struct Node {
-    key: u64,
-    prio: u64,
-    mult: u64,
-    size: u64,
-    left: u32,
-    right: u32,
+struct Leaf {
+    keys: [u64; LEAF_CAP],
+    mults: [u64; LEAF_CAP],
+    len: usize,
+    next: u32,
 }
 
-/// SplitMix64: deterministic pseudo-random priorities so treap shape (and
-/// thus all protocol runs) are reproducible without an RNG dependency.
+/// An inner node with `len` children. Keys under `children[i]` are
+/// `< seps[i]` and keys under `children[i + 1]` are `≥ seps[i]`;
+/// `counts[i]` is the number of items (with multiplicity) under
+/// `children[i]`. Children index the leaf arena on the lowest inner level
+/// and the inner arena above it.
+#[derive(Debug, Clone)]
+struct Inner {
+    seps: [u64; FANOUT - 1],
+    counts: [u64; FANOUT],
+    children: [u32; FANOUT],
+    len: usize,
+}
+
+/// A node split off to the right: its lowest key, its item count, its
+/// index.
+type Sibling = (u64, u64, u32);
+
+impl Leaf {
+    const EMPTY: Leaf = Leaf {
+        keys: [0; LEAF_CAP],
+        mults: [0; LEAF_CAP],
+        len: 0,
+        next: NIL,
+    };
+
+    /// Put a new key `x` at `pos`; the leaf must have room.
+    fn insert(&mut self, pos: usize, x: u64) {
+        self.keys.copy_within(pos..self.len, pos + 1);
+        self.mults.copy_within(pos..self.len, pos + 1);
+        self.keys[pos] = x;
+        self.mults[pos] = 1;
+        self.len += 1;
+    }
+}
+
+impl Inner {
+    const EMPTY: Inner = Inner {
+        seps: [0; FANOUT - 1],
+        counts: [0; FANOUT],
+        children: [0; FANOUT],
+        len: 0,
+    };
+
+    /// The child whose key range holds `x`. A branch-free count over at
+    /// most 15 separators beats a binary search's mispredicted branches.
+    #[inline]
+    fn slot(&self, x: u64) -> usize {
+        self.seps[..self.len - 1]
+            .iter()
+            .filter(|&&s| s <= x)
+            .count()
+    }
+
+    /// Put a new child at position `at ≥ 1`; the node must have room.
+    fn insert(&mut self, at: usize, (sep, count, child): Sibling) {
+        self.seps.copy_within(at - 1..self.len - 1, at);
+        self.counts.copy_within(at..self.len, at + 1);
+        self.children.copy_within(at..self.len, at + 1);
+        self.seps[at - 1] = sep;
+        self.counts[at] = count;
+        self.children[at] = child;
+        self.len += 1;
+    }
+}
+
+/// Index of the entry that holds rank `*r` in a run of entries with
+/// `weights`, leaving in `*r` the rank within that entry.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn locate(weights: &[u64], r: &mut u64) -> usize {
+    let mut i = 0;
+    while *r >= weights[i] {
+        *r -= weights[i];
+        i += 1;
+    }
+    i
 }
 
-/// An order-statistic treap over a multiset of `u64` values.
+/// The next free index of an arena of `len` nodes.
+fn arena_index(len: usize) -> u32 {
+    assert!(len < NIL as usize, "ExactOrdered arena exceeds u32 indices");
+    len as u32
+}
+
+/// An order-statistic counted B+tree over a multiset of `u64` values.
 ///
 /// Supports the exact queries quantile-tracking sites must answer:
 /// * `rank_lt(x)` — number of stored items strictly less than `x`;
@@ -94,40 +173,26 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// * `select(r)` — the item of multiset rank `r` (0-based);
 /// * `range_count(lo, hi)` — items in the inclusive range `[lo, hi]`.
 ///
-/// All operations are O(log n) expected; insertion order does not affect
-/// results, and the structure is deterministic for a given insertion
-/// sequence. Storage is an index-linked arena: one `Vec` growth per new
-/// distinct key, zero per-node heap allocations.
-#[derive(Debug, Clone)]
+/// Insert, rank and select are one iterative root-to-leaf descent each,
+/// O(log n) in the worst case and independent of insertion order; every
+/// answer is a function of the multiset alone. Nodes live in two arenas
+/// that grow by one node per split; `new` allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct ExactOrdered {
-    nodes: Vec<Node>,
+    leaves: Vec<Leaf>,
+    inners: Vec<Inner>,
+    /// A leaf when `height == 0`, an inner node otherwise.
     root: u32,
-    prio_state: u64,
+    /// Inner levels above the leaves.
+    height: usize,
     len: u64,
-}
-
-impl Default for ExactOrdered {
-    fn default() -> Self {
-        Self::new()
-    }
+    distinct: usize,
 }
 
 impl ExactOrdered {
     /// Empty multiset.
     pub fn new() -> Self {
-        ExactOrdered {
-            nodes: Vec::new(),
-            root: NIL,
-            prio_state: 0x5DEE_CE66_D123_4567,
-            len: 0,
-        }
-    }
-
-    /// Empty multiset with arena room for `distinct` keys.
-    pub fn with_capacity(distinct: usize) -> Self {
-        let mut t = Self::new();
-        t.nodes.reserve(distinct);
-        t
+        Self::default()
     }
 
     /// Number of stored items (with multiplicity).
@@ -140,124 +205,138 @@ impl ExactOrdered {
         self.len == 0
     }
 
-    /// Number of distinct keys stored (arena occupancy).
+    /// Number of distinct keys stored.
     pub fn distinct(&self) -> usize {
-        self.nodes.len()
+        self.distinct
     }
 
-    /// Remove every item, keeping the arena's capacity for reuse.
+    /// Remove every item, keeping the arenas' capacity for reuse.
     pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.root = NIL;
-        self.prio_state = 0x5DEE_CE66_D123_4567;
+        self.leaves.clear();
+        self.inners.clear();
+        self.root = 0;
+        self.height = 0;
         self.len = 0;
-    }
-
-    #[inline]
-    fn node(&self, idx: u32) -> &Node {
-        &self.nodes[idx as usize]
-    }
-
-    #[inline]
-    fn subtree_size(&self, idx: u32) -> u64 {
-        if idx == NIL {
-            0
-        } else {
-            self.node(idx).size
-        }
-    }
-
-    #[inline]
-    fn update(&mut self, idx: u32) {
-        let (l, r, mult) = {
-            let n = self.node(idx);
-            (n.left, n.right, n.mult)
-        };
-        self.nodes[idx as usize].size = mult + self.subtree_size(l) + self.subtree_size(r);
+        self.distinct = 0;
     }
 
     /// Insert one occurrence of `x`.
     pub fn insert(&mut self, x: u64) {
-        let prio = splitmix64(&mut self.prio_state);
-        let root = self.root;
-        self.root = self.insert_at(root, x, prio);
+        if self.leaves.is_empty() {
+            self.leaves.push(Leaf::EMPTY);
+        }
         self.len += 1;
+        let mut path = [(0u32, 0usize); MAX_HEIGHT];
+        let mut node = self.root;
+        for step in &mut path[..self.height] {
+            let inner = &mut self.inners[node as usize];
+            let slot = inner.slot(x);
+            inner.counts[slot] += 1;
+            *step = (node, slot);
+            node = inner.children[slot];
+        }
+        let leaf = &mut self.leaves[node as usize];
+        let pos = leaf.keys[..leaf.len].partition_point(|&k| k < x);
+        if pos < leaf.len && leaf.keys[pos] == x {
+            leaf.mults[pos] += 1;
+            return;
+        }
+        self.distinct += 1;
+        if leaf.len < LEAF_CAP {
+            leaf.insert(pos, x);
+            return;
+        }
+        let sibling = self.split_leaf(node, pos, x);
+        self.push_up(&path[..self.height], sibling);
     }
 
-    fn insert_at(&mut self, idx: u32, key: u64, prio: u64) -> u32 {
-        if idx == NIL {
-            let id = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                key,
-                prio,
-                mult: 1,
-                size: 1,
-                left: NIL,
-                right: NIL,
-            });
-            return id;
-        }
-        let nkey = self.node(idx).key;
-        if key == nkey {
-            let n = &mut self.nodes[idx as usize];
-            n.mult += 1;
-            n.size += 1;
-            idx
-        } else if key < nkey {
-            let child = self.insert_at(self.node(idx).left, key, prio);
-            self.nodes[idx as usize].left = child;
-            if self.node(child).prio > self.node(idx).prio {
-                self.rotate_right(idx)
-            } else {
-                self.update(idx);
-                idx
-            }
+    /// Move the upper half of full leaf `idx` to a new leaf and put `x` at
+    /// `pos` in whichever half covers it.
+    fn split_leaf(&mut self, idx: u32, pos: usize, x: u64) -> Sibling {
+        const HALF: usize = LEAF_CAP / 2;
+        let new = arena_index(self.leaves.len());
+        let left = &mut self.leaves[idx as usize];
+        let mut right = Leaf::EMPTY;
+        right.keys[..HALF].copy_from_slice(&left.keys[HALF..]);
+        right.mults[..HALF].copy_from_slice(&left.mults[HALF..]);
+        right.len = HALF;
+        right.next = left.next;
+        left.len = HALF;
+        left.next = new;
+        if pos <= HALF {
+            left.insert(pos, x);
         } else {
-            let child = self.insert_at(self.node(idx).right, key, prio);
-            self.nodes[idx as usize].right = child;
-            if self.node(child).prio > self.node(idx).prio {
-                self.rotate_left(idx)
-            } else {
-                self.update(idx);
-                idx
-            }
+            right.insert(pos - HALF, x);
         }
+        let sibling = (right.keys[0], right.mults[..right.len].iter().sum(), new);
+        self.leaves.push(right);
+        sibling
     }
 
-    fn rotate_right(&mut self, idx: u32) -> u32 {
-        let l = self.node(idx).left;
-        debug_assert_ne!(l, NIL, "rotate_right requires a left child");
-        self.nodes[idx as usize].left = self.node(l).right;
-        self.update(idx);
-        self.nodes[l as usize].right = idx;
-        self.update(l);
-        l
+    /// Hang `sibling` to the right of the node the descent `path` ended
+    /// at, splitting full ancestors bottom-up; a split root grows the tree
+    /// by one level.
+    fn push_up(&mut self, path: &[(u32, usize)], mut sibling: Sibling) {
+        for &(node, slot) in path.iter().rev() {
+            let inner = &mut self.inners[node as usize];
+            inner.counts[slot] -= sibling.1;
+            if inner.len < FANOUT {
+                inner.insert(slot + 1, sibling);
+                return;
+            }
+            sibling = self.split_inner(node, slot + 1, sibling);
+        }
+        let (sep, count, child) = sibling;
+        let mut root = Inner::EMPTY;
+        root.seps[0] = sep;
+        root.counts[..2].copy_from_slice(&[self.len - count, count]);
+        root.children[..2].copy_from_slice(&[self.root, child]);
+        root.len = 2;
+        self.root = arena_index(self.inners.len());
+        self.inners.push(root);
+        self.height += 1;
     }
 
-    fn rotate_left(&mut self, idx: u32) -> u32 {
-        let r = self.node(idx).right;
-        debug_assert_ne!(r, NIL, "rotate_left requires a right child");
-        self.nodes[idx as usize].right = self.node(r).left;
-        self.update(idx);
-        self.nodes[r as usize].left = idx;
-        self.update(r);
-        r
+    /// Move the upper half of full inner node `idx` to a new node, put
+    /// `sibling` at child position `at` in whichever half covers it, and
+    /// return the new node as the sibling for the level above.
+    fn split_inner(&mut self, idx: u32, at: usize, sibling: Sibling) -> Sibling {
+        const HALF: usize = FANOUT / 2;
+        let new = arena_index(self.inners.len());
+        let left = &mut self.inners[idx as usize];
+        let mut right = Inner::EMPTY;
+        right.seps[..HALF - 1].copy_from_slice(&left.seps[HALF..]);
+        right.counts[..HALF].copy_from_slice(&left.counts[HALF..]);
+        right.children[..HALF].copy_from_slice(&left.children[HALF..]);
+        right.len = HALF;
+        left.len = HALF;
+        let sep = left.seps[HALF - 1];
+        if at <= HALF {
+            left.insert(at, sibling);
+        } else {
+            right.insert(at - HALF, sibling);
+        }
+        let count = right.counts[..right.len].iter().sum();
+        self.inners.push(right);
+        (sep, count, new)
     }
 
     /// Number of items strictly less than `x`.
     pub fn rank_lt(&self, x: u64) -> u64 {
-        let mut acc = 0u64;
-        let mut cur = self.root;
-        while cur != NIL {
-            let n = self.node(cur);
-            if x <= n.key {
-                cur = n.left;
-            } else {
-                acc += self.subtree_size(n.left) + n.mult;
-                cur = n.right;
-            }
+        if self.len == 0 {
+            return 0;
         }
-        acc
+        let mut acc = 0;
+        let mut node = self.root;
+        for _ in 0..self.height {
+            let inner = &self.inners[node as usize];
+            let slot = inner.slot(x);
+            acc += inner.counts[..slot].iter().sum::<u64>();
+            node = inner.children[slot];
+        }
+        let leaf = &self.leaves[node as usize];
+        let pos = leaf.keys[..leaf.len].partition_point(|&k| k < x);
+        acc + leaf.mults[..pos].iter().sum::<u64>()
     }
 
     /// Number of items less than or equal to `x`.
@@ -287,55 +366,47 @@ impl ExactOrdered {
             return None;
         }
         let mut r = r;
-        let mut cur = self.root;
-        while cur != NIL {
-            let n = self.node(cur);
-            let left = self.subtree_size(n.left);
-            if r < left {
-                cur = n.left;
-            } else if r < left + n.mult {
-                return Some(n.key);
-            } else {
-                r -= left + n.mult;
-                cur = n.right;
-            }
+        let mut node = self.root;
+        for _ in 0..self.height {
+            let inner = &self.inners[node as usize];
+            node = inner.children[locate(&inner.counts[..inner.len], &mut r)];
         }
-        None
+        let leaf = &self.leaves[node as usize];
+        Some(leaf.keys[locate(&leaf.mults[..leaf.len], &mut r)])
     }
 
     /// Iterate over `(value, multiplicity)` in ascending value order.
     pub fn iter(&self) -> ExactOrderedIter<'_> {
-        let mut iter = ExactOrderedIter {
-            tree: self,
-            stack: Vec::new(),
-        };
-        iter.push_left_spine(self.root);
-        iter
-    }
-}
-
-/// In-order iterator over an [`ExactOrdered`] multiset.
-pub struct ExactOrderedIter<'a> {
-    tree: &'a ExactOrdered,
-    stack: Vec<u32>,
-}
-
-impl ExactOrderedIter<'_> {
-    fn push_left_spine(&mut self, mut idx: u32) {
-        while idx != NIL {
-            self.stack.push(idx);
-            idx = self.tree.node(idx).left;
+        // Leaf 0 is the leftmost leaf: a split keeps the lower half in place.
+        ExactOrderedIter {
+            leaves: &self.leaves,
+            leaf: 0,
+            pos: 0,
         }
     }
 }
 
-impl<'a> Iterator for ExactOrderedIter<'a> {
+/// In-order iterator over an [`ExactOrdered`] multiset: walks the leaves
+/// along their `next` links.
+pub struct ExactOrderedIter<'a> {
+    leaves: &'a [Leaf],
+    leaf: u32,
+    pos: usize,
+}
+
+impl Iterator for ExactOrderedIter<'_> {
     type Item = (u64, u64);
     fn next(&mut self) -> Option<Self::Item> {
-        let idx = self.stack.pop()?;
-        let n = self.tree.node(idx);
-        self.push_left_spine(n.right);
-        Some((n.key, n.mult))
+        loop {
+            // `NIL` is past the end of every arena, so the walk stops there.
+            let leaf = self.leaves.get(self.leaf as usize)?;
+            if self.pos < leaf.len {
+                self.pos += 1;
+                return Some((leaf.keys[self.pos - 1], leaf.mults[self.pos - 1]));
+            }
+            self.leaf = leaf.next;
+            self.pos = 0;
+        }
     }
 }
 
@@ -412,6 +483,7 @@ mod tests {
     #[test]
     fn iter_is_sorted_with_multiplicity() {
         let mut t = ExactOrdered::new();
+        assert_eq!(t.iter().next(), None);
         for v in [9u64, 1, 5, 5, 9, 9] {
             t.insert(v);
         }
@@ -421,32 +493,37 @@ mod tests {
 
     #[test]
     fn clear_keeps_capacity_and_resets_state() {
-        let mut t = ExactOrdered::with_capacity(100);
-        for v in [3u64, 1, 2, 2] {
-            t.insert(v);
+        let mut t = ExactOrdered::new();
+        for v in 0..200u64 {
+            t.insert(v % 70);
         }
+        let (leaves, inners) = (t.leaves.capacity(), t.inners.capacity());
+        assert!(t.height > 0);
         t.clear();
-        assert!(t.is_empty());
+        assert!(t.is_empty() && t.leaves.is_empty() && t.inners.is_empty());
         assert_eq!(t.distinct(), 0);
         assert_eq!(t.select(0), None);
-        // Re-inserting after clear behaves like a fresh treap.
+        assert_eq!(t.rank_lt(5), 0);
+        assert_eq!(t.iter().next(), None);
+        assert_eq!((t.leaves.capacity(), t.inners.capacity()), (leaves, inners));
+        // Re-inserting after clear behaves like a fresh store.
         t.insert(9);
         t.insert(4);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(4, 1), (9, 1)]);
+        assert_eq!(t.select(1), Some(9));
     }
 
     #[test]
     fn matches_sorted_vec_on_dense_input() {
         let mut t = ExactOrdered::new();
-        let mut v: Vec<u64> = Vec::new();
-        // Deterministic pseudo-random inserts.
-        let mut st = 42u64;
-        for _ in 0..2000 {
-            let x = splitmix64(&mut st) % 500;
+        // 2000 deterministic pseudo-random inserts over 500 values: splits
+        // at both levels, and duplicates in every leaf.
+        let mut v: Vec<u64> = (0..2000).map(|i| dtrack_hash::hash_u64(i) % 500).collect();
+        for &x in &v {
             t.insert(x);
-            v.push(x);
         }
         v.sort_unstable();
+        assert!(t.height >= 2, "height {}", t.height);
         for probe in (0..500).step_by(7) {
             let lt = v.partition_point(|&y| y < probe) as u64;
             let le = v.partition_point(|&y| y <= probe) as u64;
@@ -459,21 +536,23 @@ mod tests {
     }
 
     #[test]
-    fn treap_depth_is_logarithmic() {
-        // Sorted insertion is the worst case for a plain BST; the treap
-        // must keep expected O(log n) depth.
-        let mut t = ExactOrdered::new();
-        for v in 0..10_000u64 {
-            t.insert(v);
-        }
-        fn depth(t: &ExactOrdered, idx: u32) -> u32 {
-            if idx == NIL {
-                return 0;
+    fn sorted_input_height_is_logarithmic() {
+        // Sorted input leaves every split node half full, a B+tree's worst
+        // case. A tree with h inner levels has at least 2·(FANOUT/2)^(h−1)
+        // leaves, and n distinct keys in half-full leaves fill n/(LEAF_CAP/2).
+        let n = 4096u64;
+        for keys in [(0..n).collect::<Vec<_>>(), (0..n).rev().collect()] {
+            let mut t = ExactOrdered::new();
+            for &k in &keys {
+                t.insert(k);
             }
-            let n = t.node(idx);
-            1 + depth(t, n.left).max(depth(t, n.right))
+            let min_leaves = 2 * (FANOUT as u64 / 2).pow(t.height as u32 - 1);
+            assert!(
+                min_leaves <= n / (LEAF_CAP as u64 / 2),
+                "height {} too large for {n} sorted keys",
+                t.height
+            );
+            assert_eq!(t.select(n / 3), Some(n / 3));
         }
-        let d = depth(&t, t.root);
-        assert!(d < 64, "treap depth {d} too large for n=10000");
     }
 }

@@ -8,10 +8,10 @@
 //!
 //! * [`ExactFrequencies`] — hash-map frequency store (the "exact local
 //!   frequencies" the basic §2.1 protocol assumes).
-//! * [`ExactOrdered`] — an order-statistic treap over a multiset of `u64`
-//!   values: O(log n) insert, rank, select, and range count. This is what
-//!   lets a site answer the coordinator's exact polls during quantile
-//!   tracking.
+//! * [`ExactOrdered`] — an order-statistic counted B+tree over a multiset
+//!   of `u64` values: O(log n) insert, rank, select, and range count. This
+//!   is what lets a site answer the coordinator's exact polls during
+//!   quantile tracking.
 //! * [`SpaceSaving`] — the Metwally et al. counter sketch the paper cites
 //!   [26] for the O(1/ε)-space heavy-hitter site ("Implementing with small
 //!   space", §2.1).

@@ -236,7 +236,7 @@ impl OrderStore for ExactOrdered {
     }
 
     fn entries(&self) -> usize {
-        // Distinct keys stored — the treap arena's occupancy.
+        // Distinct keys stored.
         self.distinct()
     }
 }

@@ -113,29 +113,6 @@ proptest! {
         }
     }
 
-    /// The order-statistic treap agrees exactly with a sorted vector.
-    #[test]
-    fn treap_matches_sorted_vec(
-        stream in prop::collection::vec(0u64..10_000, 1..1500),
-        probes in prop::collection::vec(0u64..10_000, 10),
-    ) {
-        let mut t = ExactOrdered::new();
-        for &x in &stream {
-            t.insert(x);
-        }
-        let mut sorted = stream.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(t.len(), sorted.len() as u64);
-        for &p in &probes {
-            prop_assert_eq!(t.rank_lt(p), sorted.partition_point(|&y| y < p) as u64);
-            prop_assert_eq!(t.rank_le(p), sorted.partition_point(|&y| y <= p) as u64);
-        }
-        for r in [0u64, sorted.len() as u64 / 2, sorted.len() as u64 - 1] {
-            prop_assert_eq!(t.select(r), Some(sorted[r as usize]));
-        }
-        prop_assert_eq!(t.select(sorted.len() as u64), None);
-    }
-
     /// Equi-depth summaries: rank estimates within the advertised error,
     /// and the error bound of a merge is the sum of the parts.
     #[test]
@@ -390,4 +367,147 @@ proptest! {
             in_range.len()
         );
     }
+}
+
+/// Check every public query of an [`ExactOrdered`] against `sorted`, a
+/// sorted copy of what it holds: size, distinct count, in-order iteration,
+/// rank and count at every stored key, its neighbours and `probes`, range
+/// counts between consecutive probes, and `select` at every rank.
+fn check_ordered(t: &ExactOrdered, sorted: &[u64], probes: &[u64]) -> Result<(), TestCaseError> {
+    let n = sorted.len() as u64;
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for &x in sorted {
+        match runs.last_mut() {
+            Some((key, mult)) if *key == x => *mult += 1,
+            _ => runs.push((x, 1)),
+        }
+    }
+    prop_assert_eq!(t.len(), n);
+    prop_assert_eq!(t.is_empty(), n == 0);
+    prop_assert_eq!(t.distinct(), runs.len());
+    prop_assert!(t.iter().eq(runs.iter().copied()), "iter differs");
+    let near_keys = runs
+        .iter()
+        .flat_map(|&(k, _)| [k.wrapping_sub(1), k, k.wrapping_add(1)]);
+    for p in near_keys.chain(probes.iter().copied()) {
+        let lt = sorted.partition_point(|&y| y < p) as u64;
+        let le = sorted.partition_point(|&y| y <= p) as u64;
+        prop_assert_eq!(t.rank_lt(p), lt, "rank_lt({})", p);
+        prop_assert_eq!(t.rank_le(p), le, "rank_le({})", p);
+        prop_assert_eq!(t.count(p), le - lt, "count({})", p);
+    }
+    for pair in probes.windows(2) {
+        let (lo, hi) = (pair[0], pair[1]);
+        let truth = if lo > hi {
+            0
+        } else {
+            (sorted.partition_point(|&y| y <= hi) - sorted.partition_point(|&y| y < lo)) as u64
+        };
+        prop_assert_eq!(t.range_count(lo, hi), truth, "range_count({}, {})", lo, hi);
+    }
+    for (r, &x) in sorted.iter().enumerate() {
+        prop_assert_eq!(t.select(r as u64), Some(x), "select({})", r);
+    }
+    prop_assert_eq!(t.select(n), None);
+    Ok(())
+}
+
+/// Map raw draws to the value spread `kind` picks: one key repeated
+/// (0, `u64::MAX` or another), about 300 keys, about 9k keys out of
+/// 60 000, or full-range keys that are all distinct. The last three
+/// always hold both 0 and `u64::MAX`.
+fn ordered_values(kind: usize, raw: &[u64]) -> Vec<u64> {
+    if kind == 0 {
+        let key = [0, u64::MAX, raw[0]][raw[1] as usize % 3];
+        return vec![key; raw.len()];
+    }
+    let modulus = [300, 60_000, u64::MAX][kind - 1];
+    let mut values: Vec<u64> = raw.iter().map(|&x| x % modulus).collect();
+    values[0] = 0;
+    values[1] = u64::MAX;
+    values
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The ordered store agrees exactly with a sorted vector on every
+    /// query, and again after `clear` and a second fill. Streams of 9k+
+    /// distinct keys build at least three inner levels: two levels of
+    /// 16-way nodes reach at most 256 leaves of 32 keys.
+    #[test]
+    fn ordered_store_matches_sorted_vec(
+        kind in 0usize..4,
+        raw in prop::collection::vec(any::<u64>(), 9_000..12_000),
+        raw_probes in prop::collection::vec(any::<u64>(), 32),
+    ) {
+        let stream = ordered_values(kind, &raw);
+        let probes = ordered_values(kind.max(1), &raw_probes);
+        let mut t = ExactOrdered::new();
+        for &x in &stream {
+            t.insert(x);
+        }
+        let mut sorted = stream.clone();
+        sorted.sort_unstable();
+        check_ordered(&t, &sorted, &probes)?;
+
+        t.clear();
+        check_ordered(&t, &[], &probes)?;
+        let refill = &stream[..stream.len() / 3];
+        for &x in refill.iter().rev() {
+            t.insert(x);
+        }
+        let mut sorted = refill.to_vec();
+        sorted.sort_unstable();
+        check_ordered(&t, &sorted, &probes)?;
+    }
+}
+
+/// SplitMix64, the priority source of the arena treap `ExactOrdered` once
+/// was.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Insertion order costs no stack. Ascending, descending, and the order
+/// that turned the treap `ExactOrdered` once was into a single path —
+/// insert i gets its fixed-seed priority's rank, highest priority first —
+/// which recursed once per item and overflowed a worker thread's stack.
+#[test]
+fn adversarial_insertion_orders_fit_a_small_stack() {
+    const N: usize = 60_000;
+    let mut state = 0x5DEE_CE66_D123_4567;
+    let prios: Vec<u64> = (0..N).map(|_| splitmix64(&mut state)).collect();
+    let mut by_prio: Vec<usize> = (0..N).collect();
+    by_prio.sort_unstable_by_key(|&i| std::cmp::Reverse(prios[i]));
+    let mut one_path = vec![0u64; N];
+    for (rank, &i) in by_prio.iter().enumerate() {
+        one_path[i] = rank as u64;
+    }
+    let orders = [
+        one_path,
+        (0..N as u64).collect(),
+        (0..N as u64).rev().collect(),
+    ];
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            for keys in &orders {
+                let mut t = ExactOrdered::new();
+                for &k in keys {
+                    t.insert(k);
+                }
+                let mut sorted = keys.clone();
+                sorted.sort_unstable();
+                let probes = [0, 1, N as u64 / 2, N as u64, u64::MAX];
+                check_ordered(&t, &sorted, &probes).expect("answers match a sorted Vec");
+            }
+        })
+        .expect("spawn the small-stack thread")
+        .join()
+        .expect("small-stack thread finished");
 }

@@ -295,7 +295,7 @@ pub enum ProtocolSpec {
     HhExact,
     /// §2.1 heavy hitters with SpaceSaving sites (small space).
     HhSketched,
-    /// §3.1 single φ-quantile with exact (treap) sites.
+    /// §3.1 single φ-quantile with exact (`ExactOrdered`) sites.
     QuantileExact {
         /// Tracked quantile.
         phi: f64,
