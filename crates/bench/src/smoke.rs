@@ -11,16 +11,17 @@
 //! words/messages are bit-for-bit deterministic (regressions there are
 //! protocol changes, not noise); wall-clock throughput is indicative.
 //!
-//! Eight cell groups:
+//! Six cell groups:
 //!
 //! * n = 20 000 deterministic cells — match the seed snapshot one-to-one
 //!   for before/after comparisons;
 //! * n = 200 000 deterministic cells (PR 2) — keep per-item costs visible
 //!   as fixed per-run overheads shrink;
-//! * n = 200 000 **threaded** cells (PR 3) — the parallel ingest engine,
-//!   each protocol measured twice: per-item delivery (one channel hop per
-//!   item, the threaded baseline) and batched delivery (whole per-site
-//!   runs through `Site::on_items`). Their words are *not* pinned:
+//! * n = 200 000 **threaded** cells (PR 3) — the parallel ingest engine
+//!   (the work-stealing pool at its machine-default worker count), each
+//!   protocol measured twice: per-item delivery (one queue hop per item,
+//!   the baseline) and batched delivery (whole per-site runs through
+//!   `Site::on_items`). Their words are *not* pinned:
 //!   free-running ingest interleaves arrivals with in-flight
 //!   communication, so the transcript legitimately varies run to run (the
 //!   site-at-a-time equivalence tests pin the deterministic schedule
@@ -28,20 +29,12 @@
 //!   number — it is what batching buys on real threads.
 //! * **facade-vs-direct** cells (PR 4) — the same ingest driven once
 //!   through the `Tracker` facade and once against the bare
-//!   `Cluster`/`ThreadedCluster`, on both backends, per protocol. The
+//!   `Cluster`/`ShardedCluster`, on both backends, per protocol. The
 //!   facade's erasure sits at batch/query granularity, so its overhead
 //!   must be noise (`facade_overhead_geomean` ≈ 1.00, acceptance ≤ 1.02);
 //!   each cell is best-of-2 to keep scheduler noise out of the ratio.
-//! * **site-scale** cells (PR 5) — free-running batched ingest at
-//!   k ∈ {4, 64, 256} sites on the one-thread-per-site `Threaded`
-//!   backend vs the work-stealing `Sharded` pool. At k ≈ cores the two
-//!   are comparable; at k ≫ cores the threaded backend drowns in
-//!   context switches while the pool keeps its fixed workers busy —
-//!   `sharded_scale_speedup_k256` (geomean of sharded/threaded
-//!   throughput over the k = 256 pairs) is the acceptance number and
-//!   must exceed 1.0.
 //! * **flow-control** cells (PR 7) — free-running batched ingest at
-//!   k ∈ {64, 256} through the `Tracker` facade, three ways per
+//!   k ∈ {64, 256} on the pool through the `Tracker` facade, three ways per
 //!   (k, protocol) point: a pinned deterministic twin (the words
 //!   reference), the pre-PR-7 fixed window
 //!   (`FlowControlConfig::fixed`), and the adaptive AIMD controller
@@ -54,16 +47,6 @@
 //!   `FREE_RUN_HEADROOM` the testkit budgets free runs with; the fixed
 //!   baseline is exempt, since it exists to exhibit the unregulated
 //!   drift).
-//! * **async-scale** cells (PR 9) — free-running batched ingest at
-//!   k ∈ {256, 4096} on the work-stealing `Sharded` pool vs the
-//!   task-multiplexed `Async` executor (codec off; the wire mode is a
-//!   correctness axis, pinned by the equivalence suite, not a perf
-//!   cell). `async_vs_sharded_k4096` (geomean of async/sharded
-//!   throughput over the k = 4096 pairs) is *recorded*, not enforced:
-//!   it prices generic waker machinery against the hand-rolled steal
-//!   loop at extreme k — which regime wins is hardware-dependent, and
-//!   the async backend's acceptance story is the 77-row equivalence
-//!   matrix, not a throughput gate.
 //! * **trace-overhead** cells (PR 10) — the deterministic ingest (the
 //!   tightest per-item loop, where a hot-path branch would show first)
 //!   driven once against the bare `Cluster` exactly as pre-trace callers
@@ -80,12 +63,12 @@
 use dtrack_core::counter::CounterProtocol;
 use dtrack_core::hh::{HhConfig, HhExactProtocol, HhSketchedProtocol};
 use dtrack_core::quantile::{QuantileConfig, QuantileSketchedProtocol};
-use dtrack_sim::threaded::{RunTicket, ThreadedCluster};
+use dtrack_sim::sharded::{RunTicket, ShardedCluster};
 use dtrack_sim::{BackendKind, Cluster, FlowControlConfig, Protocol, SiteId, TraceConfig, Tracker};
 use dtrack_testkit::threaded::free_run_len;
 use dtrack_testkit::{
-    measure_cost, measure_on_backend, measure_threaded, AssignmentSpec, GeneratorSpec,
-    ProtocolSpec, Scenario, ThreadedIngest,
+    measure_cost, measure_on_backend, AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario,
+    ThreadedIngest,
 };
 use std::time::Instant;
 
@@ -99,7 +82,7 @@ pub struct SmokeResult {
     /// threaded cells (`threaded-per-item:` / `threaded-batched:`).
     pub scenario: String,
     /// Metered words (deterministic for deterministic cells; indicative
-    /// for threaded cells).
+    /// for free-running pool cells).
     pub words: u64,
     /// Metered messages (same caveat as `words`).
     pub messages: u64,
@@ -122,7 +105,7 @@ const SMOKE_PROTOCOLS: [ProtocolSpec; 9] = [
     ProtocolSpec::ForwardAll,
 ];
 
-/// The protocol axis of the threaded throughput cells. A spread over the
+/// The protocol axis of the pool throughput cells. A spread over the
 /// interesting site-side behaviors: O(1) quiet-stretch swallowing
 /// (counter), exact per-item stores (hh-exact), sketch stores
 /// (hh-sketched), and tree-based quantile tracking (quantile-sketched).
@@ -133,7 +116,7 @@ const THREADED_PROTOCOLS: [ProtocolSpec; 4] = [
     ProtocolSpec::QuantileSketched { phi: 0.5 },
 ];
 
-/// Stream length of the threaded throughput cells.
+/// Stream length of the pool throughput cells.
 pub const THREADED_N: u64 = 200_000;
 
 fn smoke_scenario(protocol: ProtocolSpec, n: u64) -> Scenario {
@@ -164,8 +147,8 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
     out
 }
 
-/// The threaded throughput cells (PR 3): per-protocol scenarios driven
-/// through `ThreadedCluster` free-running, once per ingest mode.
+/// The pool throughput cells (PR 3): per-protocol scenarios driven
+/// through the pool free-running, once per ingest mode.
 pub fn threaded_scenarios() -> Vec<Scenario> {
     THREADED_PROTOCOLS
         .iter()
@@ -173,22 +156,12 @@ pub fn threaded_scenarios() -> Vec<Scenario> {
         .collect()
 }
 
-/// Site counts of the PR 5 scale cells: around a typical core count,
-/// well past it, and far past it.
-pub const SCALE_KS: [u32; 3] = [4, 64, 256];
+/// The runtime of the free-running pool cells: the work-stealing pool
+/// at its machine-default worker count.
+const POOL: BackendKind = BackendKind::Sharded { workers: None };
 
-/// Stream length of the scale cells.
+/// Stream length of the k ≫ cores flow-control cells.
 pub const SCALE_N: u64 = 200_000;
-
-/// The protocol axis of the scale cells: the O(1) quiet-stretch counter
-/// (channel-hop bound) and the sketch-store heavy hitters (site-compute
-/// bound) — the two extremes of per-item site work.
-const SCALE_PROTOCOLS: [ProtocolSpec; 2] = [ProtocolSpec::Counter, ProtocolSpec::HhSketched];
-
-/// Scale-cell prefixes per backend: (threaded, sharded). Shared by the
-/// cell builder, [`sharded_scale_speedup_k256`]'s pairing, and the
-/// structural tests, so a rename cannot silently empty the metric.
-const SCALE_PAIR: (&str, &str) = ("scale-threaded:", "scale-sharded:");
 
 fn scale_scenario(protocol: ProtocolSpec, k: u32, n: u64) -> Scenario {
     Scenario::new(
@@ -205,156 +178,13 @@ fn scale_scenario(protocol: ProtocolSpec, k: u32, n: u64) -> Scenario {
     )
 }
 
-/// The site-scale cells: free-running batched ingest at every k in
-/// [`SCALE_KS`], on the one-thread-per-site threaded backend and on the
-/// work-stealing sharded pool (machine-default worker count). Best-of-2
-/// like the facade/direct pairs: `sharded_scale_speedup_k256` is an
-/// *enforced* ratio, so one unlucky scheduling in either twin must not
-/// decide it. `n` is [`SCALE_N`] in the real run; tests pass a small n
-/// to exercise the actual cell builder cheaply.
-fn scale_cells_at(n: u64) -> Vec<SmokeResult> {
-    let mut out = Vec::new();
-    for &k in &SCALE_KS {
-        for protocol in SCALE_PROTOCOLS {
-            let scenario = scale_scenario(protocol, k, n);
-            for (prefix, backend) in [
-                (SCALE_PAIR.0, BackendKind::Threaded),
-                (SCALE_PAIR.1, BackendKind::Sharded { workers: None }),
-            ] {
-                out.push(timed_cell(format!("{prefix}{scenario}"), n, || {
-                    let outcome = measure_on_backend(&scenario, ThreadedIngest::Batched, backend)
-                        .expect("scale cell failed");
-                    (
-                        outcome.report.words,
-                        outcome.report.messages,
-                        outcome.ingest_ms,
-                    )
-                }));
-            }
-        }
-    }
-    out
-}
-
-/// Geometric-mean throughput ratio of the `scale-sharded:` cells over
-/// their `scale-threaded:` twins at k = 256 (1.0 when no pairs are
-/// present). This is the acceptance number for the work-stealing pool:
-/// when sites vastly outnumber cores, multiplexing must beat
-/// one-thread-per-site.
-pub fn sharded_scale_speedup_k256(results: &[SmokeResult]) -> f64 {
-    let threaded_of = |suffix: &str| {
-        results
-            .iter()
-            .find(|r| r.scenario.strip_prefix(SCALE_PAIR.0) == Some(suffix))
-            .map(|r| r.items_per_sec)
-    };
-    let mut log_sum = 0.0;
-    let mut pairs = 0usize;
-    for r in results {
-        if let Some(name) = r.scenario.strip_prefix(SCALE_PAIR.1) {
-            if !name.contains("/k256/") {
-                continue;
-            }
-            if let Some(base) = threaded_of(name) {
-                log_sum += (r.items_per_sec.max(1.0) / base.max(1.0)).ln();
-                pairs += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        1.0
-    } else {
-        (log_sum / pairs as f64).exp()
-    }
-}
-
-/// Site counts of the PR 9 async cells: past the core count (where the
-/// sharded pool already won its PR 5 gate) and far past any
-/// thread-per-site design — 4096 cooperative tasks on a fixed pool.
-pub const ASYNC_KS: [u32; 2] = [256, 4096];
-
-/// The protocol axis of the async cells — the same two extremes of
-/// per-item site work as [`SCALE_PROTOCOLS`].
-const ASYNC_PROTOCOLS: [ProtocolSpec; 2] = [ProtocolSpec::Counter, ProtocolSpec::HhSketched];
-
-/// Async-cell prefixes per backend: (sharded baseline, async executor).
-/// Shared by the cell builder, [`async_vs_sharded_k4096`]'s pairing, and
-/// the structural tests, so a rename cannot silently empty the metric.
-const ASYNC_PAIR: (&str, &str) = ("async-scale-sharded:", "async-scale:");
-
-/// The async-scale cells: free-running batched ingest at every k in
-/// [`ASYNC_KS`] on the work-stealing sharded pool (the PR 5 incumbent at
-/// extreme k) and on the async executor (machine-default worker count
-/// for both, codec off). Best-of-2 like the other paired cells so one
-/// unlucky scheduling cannot decide the recorded ratio.
-fn async_cells_at(n: u64) -> Vec<SmokeResult> {
-    let mut out = Vec::new();
-    for &k in &ASYNC_KS {
-        for protocol in ASYNC_PROTOCOLS {
-            let scenario = scale_scenario(protocol, k, n);
-            for (prefix, backend) in [
-                (ASYNC_PAIR.0, BackendKind::Sharded { workers: None }),
-                (
-                    ASYNC_PAIR.1,
-                    BackendKind::Async {
-                        workers: None,
-                        wire: false,
-                    },
-                ),
-            ] {
-                out.push(timed_cell(format!("{prefix}{scenario}"), n, || {
-                    let outcome = measure_on_backend(&scenario, ThreadedIngest::Batched, backend)
-                        .expect("async-scale cell failed");
-                    (
-                        outcome.report.words,
-                        outcome.report.messages,
-                        outcome.ingest_ms,
-                    )
-                }));
-            }
-        }
-    }
-    out
-}
-
-/// Geometric-mean throughput ratio of the `async-scale:` cells over
-/// their `async-scale-sharded:` twins at k = 4096 (1.0 when no pairs
-/// are present). Recorded in the snapshot, not enforced: it prices task
-/// multiplexing against work-stealing threads when sites outnumber
-/// cores by three orders of magnitude on this hardware.
-pub fn async_vs_sharded_k4096(results: &[SmokeResult]) -> f64 {
-    let sharded_of = |suffix: &str| {
-        results
-            .iter()
-            .find(|r| r.scenario.strip_prefix(ASYNC_PAIR.0) == Some(suffix))
-            .map(|r| r.items_per_sec)
-    };
-    let mut log_sum = 0.0;
-    let mut pairs = 0usize;
-    for r in results {
-        if let Some(name) = r.scenario.strip_prefix(ASYNC_PAIR.1) {
-            if !name.contains("/k4096/") {
-                continue;
-            }
-            if let Some(base) = sharded_of(name) {
-                log_sum += (r.items_per_sec.max(1.0) / base.max(1.0)).ln();
-                pairs += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        1.0
-    } else {
-        (log_sum / pairs as f64).exp()
-    }
-}
-
-/// Site counts of the PR 7 flow-control cells: the same past-the-cores
-/// points the scale cells stress, where backpressure actually bites.
+/// Site counts of the PR 7 flow-control cells: past the core count,
+/// where backpressure actually bites.
 pub const FREE_KS: [u32; 2] = [64, 256];
 
-/// The protocol axis of the flow-control cells — the same two extremes
-/// of per-item site work as [`SCALE_PROTOCOLS`].
+/// The protocol axis of the flow-control cells: the O(1) quiet-stretch
+/// counter (queue-hop bound) and the sketch-store heavy hitters
+/// (site-compute bound) — the two extremes of per-item site work.
 const FREE_PROTOCOLS: [ProtocolSpec; 2] = [ProtocolSpec::Counter, ProtocolSpec::HhSketched];
 
 /// Flow-control cell prefixes: (deterministic twin, fixed window,
@@ -425,7 +255,7 @@ fn push_free_cells<P: Protocol>(
         out.push(timed_cell(format!("{prefix}{scenario}"), n, || {
             let mut tracker = Tracker::builder()
                 .sites(k)
-                .backend(BackendKind::Sharded { workers: None })
+                .backend(POOL)
                 .flow_control(flow)
                 .protocol(p.clone())
                 .build()
@@ -569,7 +399,9 @@ fn mode_label(ingest: ThreadedIngest) -> &'static str {
 /// and the structural tests, so a rename cannot silently empty the
 /// overhead metric.
 const DET_PAIR: (&str, &str) = ("facade-det:", "direct-det:");
-/// Threaded twin of [`DET_PAIR`].
+/// Pool twin of [`DET_PAIR`]. The `thr` prefix and the `threaded-…:`
+/// cell names keep their original spelling so snapshots stay comparable
+/// across the move onto the pool.
 const THR_PAIR: (&str, &str) = ("facade-thr:", "direct-thr:");
 
 /// Trace-overhead cell-name prefixes: (traced-off facade, pre-trace
@@ -582,8 +414,9 @@ const TRACE_PAIR: (&str, &str) = ("traced-off:", "trace-base:");
 /// — the testkit's chunking, so the pair cells mirror the drivers.
 const PAIR_CHUNK: usize = dtrack_testkit::runner::FEED_CHUNK as usize;
 
-/// Target per-site run length for the free-running threaded pair cells
-/// — the testkit's, so the pairs mirror the headline threaded cells.
+/// Target per-site run length for the free-running pool pair cells —
+/// the testkit's, so the pairs mirror the headline `threaded-batched:`
+/// cells.
 const PAIR_FREE_RUN: usize = dtrack_testkit::threaded::FREE_RUN;
 
 /// Build one timed cell from a closure that ingests the stream and
@@ -648,15 +481,15 @@ fn facade_deterministic<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult 
     })
 }
 
-/// Free-running batched ingest against the bare [`ThreadedCluster`] —
+/// Free-running batched ingest against the bare [`ShardedCluster`] —
 /// the one-run-per-site ticket window hand-rolled, as pre-facade callers
 /// had to.
-fn direct_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
+fn direct_pool<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
     let stream: Vec<(SiteId, u64)> = scenario.stream().collect();
     let k = scenario.k as usize;
     timed_cell(format!("{}{scenario}", THR_PAIR.1), scenario.n, || {
         let (sites, coordinator) = p.build(scenario.k).expect("protocol build");
-        let cluster = ThreadedCluster::spawn(sites, coordinator).expect("spawn");
+        let cluster = ShardedCluster::spawn(sites, coordinator).expect("spawn");
         let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k];
         let mut tickets: Vec<Option<RunTicket>> = (0..k).map(|_| None).collect();
         let start = Instant::now();
@@ -690,14 +523,14 @@ fn direct_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
 }
 
 /// The same free-running batched ingest through the [`Tracker`] facade
-/// (the ticket window lives inside the threaded backend).
-fn facade_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
+/// (the ticket window lives inside the pool backend).
+fn facade_pool<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
     let stream: Vec<(SiteId, u64)> = scenario.stream().collect();
     let k = scenario.k as usize;
     timed_cell(format!("{}{scenario}", THR_PAIR.0), scenario.n, || {
         let mut tracker = Tracker::builder()
             .sites(scenario.k)
-            .backend(BackendKind::Threaded)
+            .backend(POOL)
             .protocol(p.clone())
             .build()
             .expect("tracker");
@@ -725,8 +558,8 @@ fn facade_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
 fn push_pair_cells<P: Protocol>(out: &mut Vec<SmokeResult>, p: &P, scenario: &Scenario) {
     out.push(direct_deterministic(p, scenario));
     out.push(facade_deterministic(p, scenario));
-    out.push(direct_threaded(p, scenario));
-    out.push(facade_threaded(p, scenario));
+    out.push(direct_pool(p, scenario));
+    out.push(facade_pool(p, scenario));
 }
 
 /// The facade-vs-direct cells: the [`THREADED_PROTOCOLS`] spread, each
@@ -752,7 +585,7 @@ fn facade_direct_cells_at(n: u64) -> Vec<SmokeResult> {
     push_pair_cells(&mut out, &QuantileSketchedProtocol::new(config), &s);
     // The hardcoded blocks above cannot iterate THREADED_PROTOCOLS (each
     // adapter is a different type), so pin the coverage instead: every
-    // protocol in the headline threaded spread must have pair cells.
+    // protocol in the headline pool spread must have pair cells.
     for spec in THREADED_PROTOCOLS {
         let label = spec.label();
         assert!(
@@ -829,7 +662,7 @@ fn trace_cells_at(n: u64) -> Vec<SmokeResult> {
     out
 }
 
-/// Run the smoke matrix (deterministic + threaded cells), timing each
+/// Run the smoke matrix (deterministic + pool cells), timing each
 /// scenario.
 ///
 /// Workload tables (the 2^20-entry Zipf CDF) are process-wide immutable
@@ -861,12 +694,12 @@ pub fn run_smoke() -> Vec<SmokeResult> {
         .collect();
     for scenario in threaded_scenarios() {
         for ingest in [ThreadedIngest::PerItem, ThreadedIngest::Batched] {
-            // Threaded cells time ingest only (stream generation, spawn,
-            // and teardown excluded — `ThreadedOutcome::ingest_ms`), so
-            // the batched/per-item ratio measures the delivery path, not
+            // Pool cells time ingest only (stream generation, spawn, and
+            // teardown excluded — `ThreadedOutcome::ingest_ms`), so the
+            // batched/per-item ratio measures the delivery path, not
             // shared setup costs.
             let outcome =
-                measure_threaded(&scenario, ingest).expect("threaded smoke scenario failed");
+                measure_on_backend(&scenario, ingest, POOL).expect("pool smoke scenario failed");
             results.push(SmokeResult {
                 scenario: format!("{}:{}", mode_label(ingest), outcome.report.scenario),
                 words: outcome.report.words,
@@ -877,9 +710,7 @@ pub fn run_smoke() -> Vec<SmokeResult> {
         }
     }
     results.extend(facade_direct_cells_at(THREADED_N));
-    results.extend(scale_cells_at(SCALE_N));
     results.extend(free_flow_cells_at(SCALE_N));
-    results.extend(async_cells_at(SCALE_N));
     results.extend(trace_cells_at(THREADED_N));
     results
 }
@@ -987,15 +818,13 @@ fn json_escape(s: &str) -> String {
 
 /// Render smoke results as a stable, human-diffable JSON document.
 pub fn smoke_json(results: &[SmokeResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"dtrack-bench-smoke/v7\",\n");
+    let mut out = String::from("{\n  \"schema\": \"dtrack-bench-smoke/v8\",\n");
     out.push_str(&format!(
-        "  \"threaded_batched_speedup\": {:.2},\n  \"facade_overhead_geomean\": {:.3},\n  \"sharded_scale_speedup_k256\": {:.2},\n  \"adaptive_vs_fixed_throughput\": {:.2},\n  \"free_run_words_factor\": {:.3},\n  \"async_vs_sharded_k4096\": {:.2},\n  \"trace_overhead_geomean\": {:.3},\n  \"cells\": [\n",
+        "  \"threaded_batched_speedup\": {:.2},\n  \"facade_overhead_geomean\": {:.3},\n  \"adaptive_vs_fixed_throughput\": {:.2},\n  \"free_run_words_factor\": {:.3},\n  \"trace_overhead_geomean\": {:.3},\n  \"cells\": [\n",
         threaded_batched_speedup(results),
         facade_overhead_geomean(results),
-        sharded_scale_speedup_k256(results),
         adaptive_vs_fixed_throughput(results),
         free_run_words_factor(results),
-        async_vs_sharded_k4096(results),
         trace_overhead_geomean(results)
     ));
     for (i, r) in results.iter().enumerate() {
@@ -1217,86 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_cells_pair_up_and_feed_the_speedup_metric() {
-        // Run the *real* cell builder at a small n: a threaded and a
-        // sharded cell per (k, protocol), with every k=256 pair visible
-        // to the speedup extractor.
-        let cells = scale_cells_at(2_000);
-        assert_eq!(cells.len(), 2 * SCALE_KS.len() * SCALE_PROTOCOLS.len());
-        for prefix in [SCALE_PAIR.0, SCALE_PAIR.1] {
-            for k in SCALE_KS {
-                assert_eq!(
-                    cells
-                        .iter()
-                        .filter(|c| c.scenario.starts_with(prefix)
-                            && c.scenario.contains(&format!("/k{k}/")))
-                        .count(),
-                    SCALE_PROTOCOLS.len(),
-                    "{prefix} cells missing at k={k}"
-                );
-            }
-        }
-        // Every k=256 sharded cell found its threaded twin: perturbing
-        // one pair must move the geomean.
-        let base = sharded_scale_speedup_k256(&cells);
-        assert!(base > 0.0);
-        let mut perturbed = cells.clone();
-        let c = perturbed
-            .iter_mut()
-            .find(|c| c.scenario.starts_with(SCALE_PAIR.1) && c.scenario.contains("/k256/"))
-            .expect("sharded k256 cell");
-        c.items_per_sec *= 10.0;
-        assert!(sharded_scale_speedup_k256(&perturbed) > base);
-        assert_eq!(sharded_scale_speedup_k256(&[]), 1.0);
-    }
-
-    #[test]
-    fn async_cells_pair_up_and_feed_the_recorded_ratio() {
-        // Run the *real* cell builder at a small n: a sharded and an
-        // async cell per (k, protocol), with every k=4096 pair visible
-        // to the ratio extractor. Small k-independent n keeps the
-        // k=4096 spawn/teardown the dominant cost, which is exactly the
-        // path this test needs to exercise.
-        let cells = async_cells_at(1_000);
-        assert_eq!(cells.len(), 2 * ASYNC_KS.len() * ASYNC_PROTOCOLS.len());
-        for prefix in [ASYNC_PAIR.0, ASYNC_PAIR.1] {
-            for k in ASYNC_KS {
-                assert_eq!(
-                    cells
-                        .iter()
-                        .filter(|c| c.scenario.starts_with(prefix)
-                            && c.scenario.contains(&format!("/k{k}/")))
-                        .count(),
-                    ASYNC_PROTOCOLS.len(),
-                    "{prefix} cells missing at k={k}"
-                );
-            }
-        }
-        // The two prefixes must not shadow each other: an async cell
-        // name never parses as a sharded one and vice versa.
-        for c in &cells {
-            assert_ne!(
-                c.scenario.starts_with(ASYNC_PAIR.0),
-                c.scenario.strip_prefix(ASYNC_PAIR.1).is_some(),
-                "ambiguous cell name {}",
-                c.scenario
-            );
-        }
-        // Every k=4096 async cell found its sharded twin: perturbing
-        // one pair must move the geomean.
-        let base = async_vs_sharded_k4096(&cells);
-        assert!(base > 0.0);
-        let mut perturbed = cells.clone();
-        let c = perturbed
-            .iter_mut()
-            .find(|c| c.scenario.starts_with(ASYNC_PAIR.1) && c.scenario.contains("/k4096/"))
-            .expect("async k4096 cell");
-        c.items_per_sec *= 10.0;
-        assert!(async_vs_sharded_k4096(&perturbed) > base);
-        assert_eq!(async_vs_sharded_k4096(&[]), 1.0);
-    }
-
-    #[test]
     #[ignore = "full-scale flow-control probe; run with --ignored --nocapture to tune"]
     fn free_flow_scale_probe() {
         let cells = free_flow_cells_at(SCALE_N);
@@ -1375,13 +1124,11 @@ mod tests {
             items_per_sec: 2_352_941.0,
         }];
         let j = smoke_json(&results);
-        assert!(j.contains("\"schema\": \"dtrack-bench-smoke/v7\""));
+        assert!(j.contains("\"schema\": \"dtrack-bench-smoke/v8\""));
         assert!(j.contains("\"threaded_batched_speedup\""));
         assert!(j.contains("\"facade_overhead_geomean\""));
-        assert!(j.contains("\"sharded_scale_speedup_k256\""));
         assert!(j.contains("\"adaptive_vs_fixed_throughput\""));
         assert!(j.contains("\"free_run_words_factor\""));
-        assert!(j.contains("\"async_vs_sharded_k4096\""));
         assert!(j.contains("\"trace_overhead_geomean\""));
         assert!(j.contains("\"words\": 1234"));
         assert!(j.ends_with("]\n}\n"));

@@ -398,6 +398,6 @@ mod tests {
         assert!(is_test_path("crates/sim/tests/foo.rs"));
         assert!(is_test_path("tests/threaded_consistency.rs"));
         assert!(is_test_path("crates/sim/examples/api_dump.rs"));
-        assert!(!is_test_path("crates/sim/src/threaded.rs"));
+        assert!(!is_test_path("crates/sim/src/sharded.rs"));
     }
 }

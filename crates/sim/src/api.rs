@@ -63,7 +63,7 @@ pub fn surface() -> String {
     line("trait dtrack_sim::tracker::ErasedProtocol { label feed feed_batch ingest settle settle_deadline cost_hint query answers set_trace trace_events trace_dropped cost finish }");
     line("impl Tracker { builder protocol_label backend_kind num_sites feed feed_batch ingest settle settle_deadline cost_hint query answers cost set_trace trace_events trace_dropped trace_summary export_trace finish }");
     line("impl TrackerBuilder { sites backend site_queue_cap flow_control settle_deadline trace protocol build }");
-    line("enum BackendKind { Deterministic Threaded Sharded{workers} Async{workers,wire} }");
+    line("enum BackendKind { Deterministic Sharded{workers} }");
     line("enum TrackerError { Protocol MissingSiteCount SiteCountMismatch InvalidConfig{knob,detail} Sim }");
     line("enum Query { Count HeavyHitters TrackedQuantile Quantile RankLt Frequency FlowControl Trace }");
     line("enum Answer { Count StreamLength LengthEstimate Total HeavyHitters Quantile QuantileAt RankLt Frequency FlowControl Trace }");
@@ -80,23 +80,11 @@ pub fn surface() -> String {
     ));
     line(&format!(
         "type {}",
-        base_name::<crate::ThreadedBackend<probe::PSite, probe::PCoord>>()
-    ));
-    line(&format!(
-        "type {}",
         base_name::<crate::ShardedBackend<probe::PSite, probe::PCoord>>()
     ));
-    line(&format!(
-        "type {}",
-        base_name::<crate::AsyncBackend<probe::PSite, probe::PCoord>>()
-    ));
     line("trait dtrack_sim::backend::Backend { feed feed_batch ingest settle settle_deadline cost_hint flow_control with_coordinator inject_fault set_trace trace_events trace_dropped cost finish }");
-    line("fn dtrack_sim::backend::ThreadedBackend::spawn_with_cap(sites, coordinator, queue_cap)");
     line("fn dtrack_sim::backend::ShardedBackend::spawn_with(sites, coordinator, config)");
-    line("fn dtrack_sim::backend::AsyncBackend::spawn_with(sites, coordinator, config)");
-    line("fn dtrack_sim::backend::ThreadedBackend::set_flow_control(config)");
     line("fn dtrack_sim::backend::ShardedBackend::set_flow_control(config)");
-    line("fn dtrack_sim::backend::AsyncBackend::set_flow_control(config)");
     line("");
 
     line("## model substrate");
@@ -106,12 +94,9 @@ pub fn surface() -> String {
         };
     }
     ty2!(crate::Cluster<probe::PSite, probe::PCoord>);
-    ty2!(crate::threaded::ThreadedCluster<probe::PSite, probe::PCoord>);
     ty2!(crate::sharded::ShardedCluster<probe::PSite, probe::PCoord>);
     ty2!(crate::sharded::ShardedConfig);
-    ty2!(crate::async_rt::AsyncCluster<probe::PSite, probe::PCoord>);
-    ty2!(crate::async_rt::AsyncConfig);
-    ty2!(crate::threaded::RunTicket);
+    ty2!(crate::sharded::RunTicket);
     ty2!(crate::SiteId);
     ty2!(crate::Outbox<probe::PDown>);
     ty2!(crate::Down);
@@ -122,19 +107,13 @@ pub fn surface() -> String {
     line("trait dtrack_sim::proto::Site { on_item on_items on_message }");
     line("trait dtrack_sim::proto::Coordinator { on_message }");
     line("trait dtrack_sim::proto::MessageSize { size_words kind }");
-    line("fn dtrack_sim::threaded::RunTicket::wait -> Result<(), SimError>");
-    line("fn dtrack_sim::threaded::RunTicket::wait_timeout(deadline) -> Result<(), SimError>");
-    line("fn dtrack_sim::threaded::ThreadedCluster::words_hint -> u64");
+    line("fn dtrack_sim::sharded::RunTicket::wait -> Result<(), SimError>");
+    line("fn dtrack_sim::sharded::RunTicket::wait_timeout(deadline) -> Result<(), SimError>");
     line("fn dtrack_sim::sharded::ShardedCluster::words_hint -> u64");
-    line("fn dtrack_sim::async_rt::AsyncCluster::words_hint -> u64");
-    line("fn dtrack_sim::threaded::ThreadedCluster::backlog_hint -> u64");
     line("fn dtrack_sim::sharded::ShardedCluster::backlog_hint -> u64");
-    line("fn dtrack_sim::async_rt::AsyncCluster::backlog_hint -> u64");
-    line("fn dtrack_sim::async_rt::AsyncCluster::wire_stats -> Option<WireStats>");
-    line("fn dtrack_sim::async_rt::AsyncConfig::with_wire(wire) -> AsyncConfig");
-    line("const dtrack_sim::threaded::SITE_QUEUE_CAP: usize");
+    line("const dtrack_sim::sharded::SITE_QUEUE_CAP: usize");
     line("fn dtrack_sim::sharded::default_workers -> usize");
-    line("enum dtrack_sim::error::SimError { Livelock NoSuchSite TooFewSites WorkerGone SiteDown Timeout Transport{detail} Decode{frame,error} }");
+    line("enum dtrack_sim::error::SimError { Livelock NoSuchSite TooFewSites WorkerGone SiteDown Timeout }");
     line("");
 
     line("## tracing (re-exported from dtrack-trace)");
@@ -155,9 +134,7 @@ pub fn surface() -> String {
     line("fn dtrack_sim::merge_snapshots(lanes) -> Vec<TraceEvent>");
     line("fn dtrack_sim::export_chrome(events, writer) -> io::Result<()>");
     line("fn dtrack_sim::write_chrome_file(events, path) -> io::Result<()>");
-    line("fn dtrack_sim::threaded::ThreadedCluster::{set_trace trace_events trace_dropped}");
     line("fn dtrack_sim::sharded::ShardedCluster::{set_trace trace_events trace_dropped}");
-    line("fn dtrack_sim::async_rt::AsyncCluster::{set_trace trace_events trace_dropped}");
     out
 }
 
@@ -195,22 +172,6 @@ mod probe {
             "probe/down"
         }
     }
-    impl dtrack_wire::WireMessage for PUp {
-        fn wire_encode(&self, _out: &mut Vec<u8>) {}
-        fn wire_decode(
-            _r: &mut dtrack_wire::WireReader<'_>,
-        ) -> Result<Self, dtrack_wire::DecodeError> {
-            Ok(PUp)
-        }
-    }
-    impl dtrack_wire::WireMessage for PDown {
-        fn wire_encode(&self, _out: &mut Vec<u8>) {}
-        fn wire_decode(
-            _r: &mut dtrack_wire::WireReader<'_>,
-        ) -> Result<Self, dtrack_wire::DecodeError> {
-            Ok(PDown)
-        }
-    }
     impl Site for PSite {
         type Item = u64;
         type Up = PUp;
@@ -234,20 +195,14 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
     let builder = Tracker::builder()
         .sites(2)
         .backend(BackendKind::Sharded { workers: None })
-        .site_queue_cap(crate::threaded::SITE_QUEUE_CAP)
+        .site_queue_cap(crate::sharded::SITE_QUEUE_CAP)
         .flow_control(crate::FlowControlConfig::default())
         .settle_deadline(std::time::Duration::from_secs(30));
     let _ = builder;
-    let _ = crate::ThreadedBackend::<probe::PSite, probe::PCoord>::spawn_with_cap;
     let _ = crate::ShardedBackend::<probe::PSite, probe::PCoord>::spawn_with;
-    let _ = crate::AsyncBackend::<probe::PSite, probe::PCoord>::spawn_with;
-    let _ = crate::ThreadedBackend::<probe::PSite, probe::PCoord>::set_flow_control;
     let _ = crate::ShardedBackend::<probe::PSite, probe::PCoord>::set_flow_control;
-    let _ = crate::AsyncBackend::<probe::PSite, probe::PCoord>::set_flow_control;
-    let _ = crate::AsyncCluster::<probe::PSite, probe::PCoord>::wire_stats;
-    let _ = crate::threaded::RunTicket::wait_timeout;
+    let _ = crate::sharded::RunTicket::wait_timeout;
     let _: crate::ShardedConfig = crate::ShardedConfig::default();
-    let _: crate::AsyncConfig = crate::AsyncConfig::default().with_wire(true);
     let _: usize = crate::sharded::default_workers();
     let _: Result<(), String> = crate::FlowControlConfig::fixed(crate::flow::WIN_MIN).validate();
     let mut controller = crate::AimdController::new(2, crate::FlowControlConfig::default());
@@ -285,15 +240,9 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
     let _ = crate::write_chrome_file::<&str>;
     let _ = crate::Tracker::export_trace::<&str>;
     let _: &str = crate::TRACE_ENV;
-    let _ = crate::threaded::ThreadedCluster::<probe::PSite, probe::PCoord>::set_trace;
-    let _ = crate::threaded::ThreadedCluster::<probe::PSite, probe::PCoord>::trace_events;
-    let _ = crate::threaded::ThreadedCluster::<probe::PSite, probe::PCoord>::trace_dropped;
     let _ = crate::sharded::ShardedCluster::<probe::PSite, probe::PCoord>::set_trace;
     let _ = crate::sharded::ShardedCluster::<probe::PSite, probe::PCoord>::trace_events;
     let _ = crate::sharded::ShardedCluster::<probe::PSite, probe::PCoord>::trace_dropped;
-    let _ = crate::async_rt::AsyncCluster::<probe::PSite, probe::PCoord>::set_trace;
-    let _ = crate::async_rt::AsyncCluster::<probe::PSite, probe::PCoord>::trace_events;
-    let _ = crate::async_rt::AsyncCluster::<probe::PSite, probe::PCoord>::trace_dropped;
     let _: crate::MessageMeter = tracker.finish()?;
     Ok(())
 }

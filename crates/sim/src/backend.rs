@@ -4,31 +4,23 @@
 //! A backend owns `k` [`Site`] state machines plus one [`Coordinator`]
 //! and carries their messages. The [`Backend`] trait is the *only*
 //! surface the [`crate::Tracker`] facade (and the testkit's generic
-//! scenario drivers) need, so adding a runtime — the ROADMAP's async
-//! executor, work-stealing shards, a sharded coordinator — means one new
-//! impl here and zero changes anywhere above.
+//! scenario drivers) need, so a new runtime means one new impl here and
+//! zero changes anywhere above.
 //!
-//! Three implementations exist today:
+//! Two implementations exist:
 //!
 //! * [`DeterministicBackend`] wraps [`Cluster`]: single-threaded, every
 //!   arrival drained to quiescence, the transcript the paper's theorems
 //!   are metered against. `settle` is a no-op (the system is always
 //!   quiescent between calls).
-//! * [`ThreadedBackend`] wraps [`crate::threaded::ThreadedCluster`]: one
-//!   OS thread per site plus a coordinator thread. `feed_batch` uses the
-//!   transcript-identical site-at-a-time schedule; [`Backend::ingest`]
-//!   uses free-running per-site runs paced by the shared [`AimdWindow`]
-//!   (the adaptive flow-control discipline that keeps feedback-starved
-//!   sites from over-communicating lives *here*, so every caller gets it
-//!   for free — see [`crate::flow`]).
-//! * [`ShardedBackend`] wraps [`crate::sharded::ShardedCluster`]: many
-//!   logical sites multiplexed onto a fixed work-stealing worker pool, so
-//!   the site count can scale far past the core count. Same batch
-//!   schedule, same AIMD window for free-running ingest.
-//! * [`AsyncBackend`] wraps [`crate::async_rt::AsyncCluster`]: sites as
-//!   lightweight tasks on a `tokio`-style executor over a fixed worker
-//!   pool, with an optional length-prefixed wire codec on every hop.
-//!   Same batch schedule, same AIMD window.
+//! * [`ShardedBackend`] wraps [`crate::sharded::ShardedCluster`]: any
+//!   number of logical sites multiplexed onto a fixed work-stealing
+//!   worker pool. `feed_batch` uses the transcript-identical
+//!   site-at-a-time schedule; [`Backend::ingest`] uses free-running
+//!   per-site runs paced by an AIMD window (the adaptive flow-control
+//!   discipline that keeps feedback-starved sites from
+//!   over-communicating lives *here*, so every caller gets it for free —
+//!   see [`crate::flow`]).
 
 #![deny(missing_docs)]
 
@@ -39,16 +31,13 @@ use crossbeam::channel::RecvTimeoutError;
 use dtrack_trace::{
     merge_snapshots, SiteTracer, TraceConfig, TraceEvent, TraceEventKind, TraceLane,
 };
-use dtrack_wire::WireMessage;
 
-use crate::async_rt::{AsyncCluster, AsyncConfig};
 use crate::cluster::Cluster;
 use crate::error::SimError;
 use crate::flow::{AimdController, FlowControlConfig, FlowControlStats};
 use crate::meter::MessageMeter;
 use crate::proto::{Coordinator, Site, SiteId};
-use crate::sharded::{ShardedCluster, ShardedConfig};
-use crate::threaded::{RunTicket, ThreadedCluster, SITE_QUEUE_CAP};
+use crate::sharded::{RunTicket, ShardedCluster, ShardedConfig};
 
 /// One injectable fault, applied through [`Backend::inject_fault`] so
 /// every runtime honors the same hostile-scenario vocabulary.
@@ -63,11 +52,11 @@ use crate::threaded::{RunTicket, ThreadedCluster, SITE_QUEUE_CAP};
 ///   are dropped *unmetered* (downs are metered at the receiving side,
 ///   and nothing is received), and its state is frozen. The runtime stays
 ///   healthy and teardown is clean.
-/// * [`FaultEvent::StallSite`] holds the site (its thread, or the pool
-///   worker serving it) for a duration: a pure timing fault. On the
-///   deterministic backend — which has no timing — it is a no-op; on the
-///   parallel backends it keeps the system non-quiescent for the
-///   duration, so `settle()` provably terminates under slow consumers.
+/// * [`FaultEvent::StallSite`] holds the pool worker serving the site
+///   for a duration: a pure timing fault. On the deterministic backend —
+///   which has no timing — it is a no-op; on the pool it keeps the system
+///   non-quiescent for the duration, so `settle()` provably terminates
+///   under slow consumers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
     /// Administratively kill a site (permanent partition).
@@ -89,9 +78,9 @@ pub enum FaultEvent {
 /// down.
 ///
 /// All methods take `&mut self` even where an implementation could accept
-/// `&self` (the threaded cluster's channels are `Sync`): the facade
-/// serializes callers anyway, and `&mut` keeps the deterministic and
-/// threaded signatures identical.
+/// `&self` (the pool's queues are `Sync`): the facade serializes callers
+/// anyway, and `&mut` keeps the deterministic and pool signatures
+/// identical.
 pub trait Backend<S, C>: Sized
 where
     S: Site,
@@ -101,8 +90,8 @@ where
     /// Deliver one item to one site.
     ///
     /// Deterministic: runs all triggered communication to quiescence
-    /// before returning. Threaded: enqueues and returns (backpressure
-    /// blocks only when the site's queue is full).
+    /// before returning. Pool: enqueues and returns (backpressure blocks
+    /// only when the site's queue is full).
     fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError>;
 
     /// Deliver a pre-assigned batch on a site-at-a-time schedule whose
@@ -115,9 +104,10 @@ where
     /// maximum-throughput path. Arrivals may interleave with in-flight
     /// communication, so the transcript is *not* pinned; the ε-guarantee
     /// still holds at quiescence. Implementations bound how far a site
-    /// may run ahead of coordinator feedback (the parallel backends keep
-    /// an adaptive AIMD run-length window per site; items may be buffered
-    /// until the next `ingest`, `settle`, or `finish`).
+    /// may run ahead of coordinator feedback (the pool keeps an adaptive
+    /// AIMD run-length window per site; items may be buffered until the
+    /// next `ingest`, `settle`, or `finish`). A killed or out-of-range
+    /// site is rejected before anything is buffered.
     fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError>;
 
     /// Block until no message is queued or in flight anywhere. Queries
@@ -309,17 +299,16 @@ where
     }
 }
 
-/// The shared per-site AIMD flow-control window behind
-/// [`Backend::ingest`] on both parallel backends (the successor of the
-/// fixed one-run-per-site ticket window).
+/// The per-site AIMD flow-control window behind the pool's
+/// [`Backend::ingest`] (the successor of the fixed one-run-per-site
+/// ticket window).
 ///
 /// Each site keeps at most one outstanding run plus a small buffer of
 /// not-yet-enqueued items. Run length follows the site's
 /// [`AimdController`] window: completed runs grow it additively, the
 /// drift signal halves it. Unbounded run queueing would let sites race
 /// ahead of coordinator feedback and flood stale-threshold deltas (see
-/// [`ThreadedCluster::ingest_run`]); sharing the controller here keeps a
-/// future fix from silently missing one backend.
+/// [`ShardedCluster::ingest_run`]).
 ///
 /// Buffered items become visible at the next flush point — any further
 /// `ingest` for the site, or `settle`/`finish`/`inject_fault`, all of
@@ -329,9 +318,8 @@ struct AimdWindow<I> {
     controller: AimdController,
     tickets: Vec<Option<RunTicket>>,
     buffers: Vec<Vec<I>>,
-    /// Driver-lane tracer for window changes and backpressure waits
-    /// (`None` until the owning backend wires its cluster's trace hub).
-    tracer: Option<SiteTracer>,
+    /// Driver-lane tracer for window changes and backpressure waits.
+    tracer: SiteTracer,
     /// Reference words-per-item installed via [`Backend::cost_hint`];
     /// `None` disables the rate-drift signal.
     ref_rate: Option<f64>,
@@ -342,28 +330,16 @@ struct AimdWindow<I> {
 }
 
 impl<I> AimdWindow<I> {
-    fn new(k: usize, config: FlowControlConfig) -> Self {
+    fn new(k: usize, config: FlowControlConfig, tracer: SiteTracer) -> Self {
         AimdWindow {
             controller: AimdController::new(k, config),
             tickets: (0..k).map(|_| None).collect(),
             buffers: (0..k).map(|_| Vec::new()).collect(),
-            tracer: None,
+            tracer,
             ref_rate: None,
             flushed_items: 0,
             last_probe_items: 0,
             last_probe_words: 0,
-        }
-    }
-
-    /// Wire the cluster's trace hub (driver lane) so window adjustments
-    /// and backpressure waits appear in the event stream.
-    fn set_tracer(&mut self, tracer: SiteTracer) {
-        self.tracer = Some(tracer);
-    }
-
-    fn trace(&mut self, kind: TraceEventKind) {
-        if let Some(tracer) = self.tracer.as_mut() {
-            tracer.record(kind);
         }
     }
 
@@ -372,21 +348,11 @@ impl<I> AimdWindow<I> {
     fn trace_window_change(&mut self, idx: usize, before: u32) {
         let after = self.controller.window(idx);
         if after != before {
-            self.trace(TraceEventKind::WindowChange {
+            self.tracer.record(TraceEventKind::WindowChange {
                 site: idx as u32,
                 window: after,
             });
         }
-    }
-
-    fn tracer_snapshot(&self) -> Vec<TraceEvent> {
-        self.tracer
-            .as_ref()
-            .map_or_else(Vec::new, SiteTracer::snapshot)
-    }
-
-    fn tracer_dropped(&self) -> u64 {
-        self.tracer.as_ref().map_or(0, SiteTracer::dropped)
     }
 
     /// Swap in a new configuration (resets windows to the new initial;
@@ -403,7 +369,8 @@ impl<I> AimdWindow<I> {
         self.controller.stats()
     }
 
-    /// Buffer `items` for `site` and pump the window: enqueue
+    /// Buffer `items` for `site` (already checked by the caller to be in
+    /// range and live) and pump the window: enqueue
     /// window-sized runs whenever the site's previous run has resolved,
     /// blocking (with the backpressure drift signal) only when the buffer
     /// has a full window waiting.
@@ -416,10 +383,6 @@ impl<I> AimdWindow<I> {
         mut probe_backlog: impl FnMut() -> u64,
     ) -> Result<(), SimError> {
         let idx = site.index();
-        if idx >= self.buffers.len() {
-            // Out of range: let the cluster produce its canonical error.
-            return enqueue(items).map(|_| ());
-        }
         if self.buffers[idx].is_empty() {
             self.buffers[idx] = items;
         } else {
@@ -456,7 +419,8 @@ impl<I> AimdWindow<I> {
             if !drifted && waited >= config.backpressure_wait {
                 let before = self.controller.window(idx);
                 self.controller.drift_site(idx);
-                self.trace(TraceEventKind::BackpressureWait { site: idx as u32 });
+                self.tracer
+                    .record(TraceEventKind::BackpressureWait { site: idx as u32 });
                 self.trace_window_change(idx, before);
                 drifted = true;
             }
@@ -501,7 +465,8 @@ impl<I> AimdWindow<I> {
                         Err(RecvTimeoutError::Timeout) => {
                             let before = self.controller.window(idx);
                             self.controller.drift_site(idx);
-                            self.trace(TraceEventKind::BackpressureWait { site: idx as u32 });
+                            self.tracer
+                                .record(TraceEventKind::BackpressureWait { site: idx as u32 });
                             self.trace_window_change(idx, before);
                             ticket
                                 .0
@@ -560,7 +525,7 @@ impl<I> AimdWindow<I> {
                 .map(|i| self.controller.window(i))
                 .min()
                 .unwrap_or(0);
-            self.trace(TraceEventKind::WindowChange {
+            self.tracer.record(TraceEventKind::WindowChange {
                 site: u32::MAX,
                 window,
             });
@@ -570,8 +535,10 @@ impl<I> AimdWindow<I> {
     /// Enqueue every buffered run (tail flush before a quiescence wait,
     /// fault injection, or teardown). Does not wait for tickets — the
     /// caller is about to wait for quiescence, which covers queued runs.
-    /// A site that rejects its run (killed, or its worker died) drops the
-    /// buffered items with the error, exactly as a failed `feed` would.
+    /// A killed site never holds buffered items here (`ingest` rejects
+    /// it up front, and `inject_fault` flushes before it kills); a site
+    /// whose handler panicked rejects its run, and the items are dropped
+    /// with the error — the death itself surfaces at `finish`.
     fn flush(&mut self, mut enqueue: impl FnMut(SiteId, Vec<I>) -> Result<RunTicket, SimError>) {
         for idx in 0..self.buffers.len() {
             if self.buffers[idx].is_empty() {
@@ -590,7 +557,7 @@ impl<I> AimdWindow<I> {
     }
 }
 
-/// Driver-side settle instrumentation for the timed backends: record the
+/// Driver-side settle instrumentation for the pool: record the
 /// backlog high-water mark plus [`TraceEventKind::SettleBegin`] and
 /// return the wall timer the matching [`settle_end`] consumes. `None`
 /// (and no events) when tracing is off, so the untraced settle path
@@ -607,7 +574,7 @@ fn settle_begin(tracer: &mut SiteTracer, backlog: u64) -> Option<Instant> {
 }
 
 /// Close the settle phase opened by [`settle_begin`] with its wall-clock
-/// duration (the timed backends' per-phase histogram input).
+/// duration (the pool's per-phase histogram input).
 fn settle_end(tracer: &mut SiteTracer, started: Option<Instant>) {
     if let Some(t0) = started {
         tracer.record(TraceEventKind::SettleEnd {
@@ -616,8 +583,9 @@ fn settle_end(tracer: &mut SiteTracer, started: Option<Instant>) {
     }
 }
 
-/// The OS-thread backend (wraps [`ThreadedCluster`]).
-pub struct ThreadedBackend<S, C>
+/// The work-stealing pool backend (wraps [`ShardedCluster`]): a fixed
+/// worker count serving any number of logical sites.
+pub struct ShardedBackend<S, C>
 where
     S: Site + Send + 'static,
     C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
@@ -625,13 +593,13 @@ where
     S::Up: Send,
     S::Down: Send + Sync,
 {
-    cluster: ThreadedCluster<S, C>,
+    cluster: ShardedCluster<S, C>,
     window: AimdWindow<S::Item>,
     /// Driver-lane tracer: settle phases and fault events.
     tracer: SiteTracer,
 }
 
-impl<S, C> ThreadedBackend<S, C>
+impl<S, C> ShardedBackend<S, C>
 where
     S: Site + Send + 'static,
     C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
@@ -639,28 +607,27 @@ where
     S::Up: Send,
     S::Down: Send + Sync,
 {
-    /// Spawn the worker threads from pre-constructed protocol state,
-    /// with the default site-queue capacity.
+    /// Spawn the default pool (one worker per core) from pre-constructed
+    /// protocol state.
     pub fn spawn(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
-        Self::spawn_with_cap(sites, coordinator, SITE_QUEUE_CAP)
+        Self::spawn_with(sites, coordinator, ShardedConfig::default())
     }
 
-    /// [`ThreadedBackend::spawn`] with an explicit per-site queue
-    /// capacity (see [`ThreadedCluster::spawn_with_cap`]).
-    pub fn spawn_with_cap(
+    /// Spawn with an explicit worker count and queue capacity.
+    pub fn spawn_with(
         sites: Vec<S>,
         coordinator: C,
-        queue_cap: usize,
+        config: ShardedConfig,
     ) -> Result<Self, SimError> {
         let k = sites.len();
-        let cluster = ThreadedCluster::spawn_with_cap(sites, coordinator, queue_cap)?;
-        let mut window = AimdWindow::new(k, FlowControlConfig::default());
-        window.set_tracer(SiteTracer::new(
-            Arc::clone(cluster.trace_shared()),
-            TraceLane::Driver,
-        ));
+        let cluster = ShardedCluster::spawn_with(sites, coordinator, config)?;
+        let window = AimdWindow::new(
+            k,
+            FlowControlConfig::default(),
+            SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver),
+        );
         let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
-        Ok(ThreadedBackend {
+        Ok(ShardedBackend {
             cluster,
             window,
             tracer,
@@ -675,7 +642,7 @@ where
     }
 }
 
-impl<S, C> Backend<S, C> for ThreadedBackend<S, C>
+impl<S, C> Backend<S, C> for ShardedBackend<S, C>
 where
     S: Site + Send + 'static,
     C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
@@ -698,6 +665,10 @@ where
     }
 
     fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
+        // Reject a killed or out-of-range site up front: once buffered,
+        // items only reach the cluster at a later flush, which has no
+        // caller left to hand the error to.
+        self.cluster.check_site(site)?;
         let cluster = &self.cluster;
         self.window.ingest(
             site,
@@ -776,363 +747,12 @@ where
         merge_snapshots(vec![
             self.cluster.trace_events(),
             self.tracer.snapshot(),
-            self.window.tracer_snapshot(),
+            self.window.tracer.snapshot(),
         ])
     }
 
     fn trace_dropped(&mut self) -> u64 {
-        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer_dropped()
-    }
-
-    fn cost(&mut self) -> MessageMeter {
-        self.cluster.cost()
-    }
-
-    fn finish(mut self) -> Result<(C, Vec<S>, MessageMeter), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.window.clear();
-        self.cluster.shutdown()
-    }
-}
-
-/// The work-stealing pool backend (wraps [`ShardedCluster`]): a fixed
-/// worker count serving any number of logical sites.
-pub struct ShardedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    cluster: ShardedCluster<S, C>,
-    window: AimdWindow<S::Item>,
-    /// Driver-lane tracer: settle phases and fault events.
-    tracer: SiteTracer,
-}
-
-impl<S, C> ShardedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    /// Spawn the default pool (one worker per core) from pre-constructed
-    /// protocol state.
-    pub fn spawn(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
-        Self::spawn_with(sites, coordinator, ShardedConfig::default())
-    }
-
-    /// Spawn with an explicit worker count and queue capacity.
-    pub fn spawn_with(
-        sites: Vec<S>,
-        coordinator: C,
-        config: ShardedConfig,
-    ) -> Result<Self, SimError> {
-        let k = sites.len();
-        let cluster = ShardedCluster::spawn_with(sites, coordinator, config)?;
-        let mut window = AimdWindow::new(k, FlowControlConfig::default());
-        window.set_tracer(SiteTracer::new(
-            Arc::clone(cluster.trace_shared()),
-            TraceLane::Driver,
-        ));
-        let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
-        Ok(ShardedBackend {
-            cluster,
-            window,
-            tracer,
-        })
-    }
-
-    /// Replace the free-running flow-control configuration (resets every
-    /// window to the configuration's initial value; call before
-    /// ingesting).
-    pub fn set_flow_control(&mut self, config: FlowControlConfig) {
-        self.window.set_config(config);
-    }
-}
-
-impl<S, C> Backend<S, C> for ShardedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed(site, item)
-    }
-
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed_batch(batch)
-    }
-
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.ingest(
-            site,
-            items,
-            |run| cluster.ingest_run(site, run),
-            || cluster.words_hint(),
-            || cluster.backlog_hint(),
-        )
-    }
-
-    fn settle(&mut self) {
-        // As on the threaded backend, the pending counter covers queued
-        // runs, so settling also waits out every outstanding ticket.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        self.cluster.settle();
-        settle_end(&mut self.tracer, started);
-    }
-
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        let result = self.cluster.settle_deadline(deadline);
-        settle_end(&mut self.tracer, started);
-        result
-    }
-
-    fn cost_hint(&mut self, words_per_item: f64) {
-        self.window.set_ref_rate(words_per_item);
-    }
-
-    fn flow_control(&self) -> Option<FlowControlStats> {
-        Some(self.window.stats())
-    }
-
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        match fault {
-            FaultEvent::KillSite { site } => {
-                self.cluster.kill_site(site)?;
-                self.tracer
-                    .record(TraceEventKind::SiteKilled { site: site.0 });
-                Ok(())
-            }
-            FaultEvent::StallSite { site, micros } => {
-                self.cluster.stall_site(site, micros)?;
-                self.tracer.record(TraceEventKind::SiteStalled {
-                    site: site.0,
-                    micros,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
-    {
-        self.cluster.with_coordinator(f)
-    }
-
-    fn set_trace(&mut self, config: TraceConfig) {
-        self.cluster.set_trace(config);
-    }
-
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
-        merge_snapshots(vec![
-            self.cluster.trace_events(),
-            self.tracer.snapshot(),
-            self.window.tracer_snapshot(),
-        ])
-    }
-
-    fn trace_dropped(&mut self) -> u64 {
-        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer_dropped()
-    }
-
-    fn cost(&mut self) -> MessageMeter {
-        self.cluster.cost()
-    }
-
-    fn finish(mut self) -> Result<(C, Vec<S>, MessageMeter), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.window.clear();
-        self.cluster.shutdown()
-    }
-}
-
-/// The async-task backend (wraps [`AsyncCluster`]): any number of sites
-/// as tasks on a fixed worker pool, with an optional wire codec on every
-/// hop ([`AsyncConfig::wire`]).
-pub struct AsyncBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send + WireMessage,
-    S::Down: Send + Sync + WireMessage,
-{
-    cluster: AsyncCluster<S, C>,
-    window: AimdWindow<S::Item>,
-    /// Driver-lane tracer: settle phases and fault events.
-    tracer: SiteTracer,
-}
-
-impl<S, C> AsyncBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send + WireMessage,
-    S::Down: Send + Sync + WireMessage,
-{
-    /// Spawn the default pool (one worker per core, wire codec off) from
-    /// pre-constructed protocol state.
-    pub fn spawn(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
-        Self::spawn_with(sites, coordinator, AsyncConfig::default())
-    }
-
-    /// Spawn with an explicit worker count, queue capacity, and wire
-    /// setting.
-    pub fn spawn_with(
-        sites: Vec<S>,
-        coordinator: C,
-        config: AsyncConfig,
-    ) -> Result<Self, SimError> {
-        let k = sites.len();
-        let cluster = AsyncCluster::spawn_with(sites, coordinator, config)?;
-        let mut window = AimdWindow::new(k, FlowControlConfig::default());
-        window.set_tracer(SiteTracer::new(
-            Arc::clone(cluster.trace_shared()),
-            TraceLane::Driver,
-        ));
-        let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
-        Ok(AsyncBackend {
-            cluster,
-            window,
-            tracer,
-        })
-    }
-
-    /// Replace the free-running flow-control configuration (resets every
-    /// window to the configuration's initial value; call before
-    /// ingesting).
-    pub fn set_flow_control(&mut self, config: FlowControlConfig) {
-        self.window.set_config(config);
-    }
-}
-
-impl<S, C> Backend<S, C> for AsyncBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send + WireMessage,
-    S::Down: Send + Sync + WireMessage,
-{
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed(site, item)
-    }
-
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed_batch(batch)
-    }
-
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.ingest(
-            site,
-            items,
-            |run| cluster.ingest_run(site, run),
-            || cluster.words_hint(),
-            || cluster.backlog_hint(),
-        )
-    }
-
-    fn settle(&mut self) {
-        // As on the other parallel backends, the pending counter covers
-        // queued runs, so settling also waits out every outstanding
-        // ticket.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        self.cluster.settle();
-        settle_end(&mut self.tracer, started);
-    }
-
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        let result = self.cluster.settle_deadline(deadline);
-        settle_end(&mut self.tracer, started);
-        result
-    }
-
-    fn cost_hint(&mut self, words_per_item: f64) {
-        self.window.set_ref_rate(words_per_item);
-    }
-
-    fn flow_control(&self) -> Option<FlowControlStats> {
-        Some(self.window.stats())
-    }
-
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        match fault {
-            FaultEvent::KillSite { site } => {
-                self.cluster.kill_site(site)?;
-                self.tracer
-                    .record(TraceEventKind::SiteKilled { site: site.0 });
-                Ok(())
-            }
-            FaultEvent::StallSite { site, micros } => {
-                self.cluster.stall_site(site, micros)?;
-                self.tracer.record(TraceEventKind::SiteStalled {
-                    site: site.0,
-                    micros,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
-    {
-        self.cluster.with_coordinator(f)
-    }
-
-    fn set_trace(&mut self, config: TraceConfig) {
-        self.cluster.set_trace(config);
-    }
-
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
-        merge_snapshots(vec![
-            self.cluster.trace_events(),
-            self.tracer.snapshot(),
-            self.window.tracer_snapshot(),
-        ])
-    }
-
-    fn trace_dropped(&mut self) -> u64 {
-        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer_dropped()
+        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer.dropped()
     }
 
     fn cost(&mut self) -> MessageMeter {
@@ -1151,7 +771,13 @@ where
 mod tests {
     use super::*;
     use crate::proto::{MessageSize, Outbox};
-    use dtrack_wire::{put_u64, DecodeError, WireReader};
+
+    fn pool(workers: usize) -> ShardedConfig {
+        ShardedConfig {
+            workers: Some(workers),
+            ..ShardedConfig::default()
+        }
+    }
 
     #[derive(Debug, Default)]
     struct EchoSite;
@@ -1174,21 +800,6 @@ mod tests {
         }
         fn kind(&self) -> &'static str {
             "b/down"
-        }
-    }
-
-    impl WireMessage for Up {
-        fn wire_encode(&self, out: &mut Vec<u8>) {
-            put_u64(out, self.0);
-        }
-        fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-            Ok(Up(r.u64()?))
-        }
-    }
-    impl WireMessage for NoDown {
-        fn wire_encode(&self, _out: &mut Vec<u8>) {}
-        fn wire_decode(_r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-            Ok(NoDown)
         }
     }
 
@@ -1237,37 +848,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_drives_the_protocol() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_backend(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_backend_drives_the_protocol() {
         // Fewer workers than sites and more workers than sites both
         // satisfy the backend contract.
         for workers in [1usize, 4] {
             let sites = (0..2).map(|_| EchoSite).collect();
-            let config = ShardedConfig {
-                workers: Some(workers),
-                ..ShardedConfig::default()
-            };
-            run_backend(ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
-        }
-    }
-
-    #[test]
-    fn async_backend_drives_the_protocol() {
-        // Wire codec off and on must satisfy the same contract with the
-        // same metered totals.
-        for wire in [false, true] {
-            let sites = (0..2).map(|_| EchoSite).collect();
-            let config = AsyncConfig {
-                workers: Some(2),
-                ..AsyncConfig::default()
-            }
-            .with_wire(wire);
-            run_backend(AsyncBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
+            let b = ShardedBackend::spawn_with(sites, SumCoord::default(), pool(workers));
+            run_backend(b.unwrap());
         }
     }
 
@@ -1306,34 +893,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_traces_the_hop_vocabulary() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_traced_backend(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_backend_traces_the_hop_vocabulary() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let config = ShardedConfig {
-            workers: Some(2),
-            ..ShardedConfig::default()
-        };
-        run_traced_backend(ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
-    }
-
-    #[test]
-    fn async_backend_traces_the_hop_vocabulary() {
-        for wire in [false, true] {
-            let sites = (0..2).map(|_| EchoSite).collect();
-            let config = AsyncConfig {
-                workers: Some(2),
-                ..AsyncConfig::default()
-            }
-            .with_wire(wire);
-            run_traced_backend(
-                AsyncBackend::spawn_with(sites, SumCoord::default(), config).unwrap(),
-            );
-        }
+        run_traced_backend(
+            ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap(),
+        );
     }
 
     /// Identical fault semantics on every backend: a killed site rejects
@@ -1347,6 +911,10 @@ mod tests {
         assert_eq!(b.feed(SiteId(1), 99), Err(SimError::SiteDown { site: 1 }));
         assert_eq!(
             b.feed_batch(&[(SiteId(1), 98), (SiteId(0), 97)]),
+            Err(SimError::SiteDown { site: 1 })
+        );
+        assert_eq!(
+            b.ingest(SiteId(1), vec![96]),
             Err(SimError::SiteDown { site: 1 })
         );
         b.inject_fault(FaultEvent::StallSite {
@@ -1373,39 +941,17 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_honors_fault_injection() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_faulted_backend(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_backend_honors_fault_injection() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let config = ShardedConfig {
-            workers: Some(2),
-            ..ShardedConfig::default()
-        };
         run_faulted_backend(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap(),
+            ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap(),
         );
-    }
-
-    #[test]
-    fn async_backend_honors_fault_injection() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        let config = AsyncConfig {
-            workers: Some(2),
-            ..AsyncConfig::default()
-        };
-        run_faulted_backend(AsyncBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
     }
 
     #[test]
     fn backends_reject_small_clusters() {
         assert!(DeterministicBackend::new(vec![EchoSite], SumCoord::default()).is_err());
-        assert!(ThreadedBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
         assert!(ShardedBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
-        assert!(AsyncBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
     }
 
     /// A stalled site must degrade `settle_deadline` to `Timeout` instead
@@ -1426,20 +972,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_settle_deadline_times_out_under_stall() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_stalled_deadline(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_settle_deadline_times_out_under_stall() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let config = ShardedConfig {
-            workers: Some(2),
-            ..ShardedConfig::default()
-        };
         run_stalled_deadline(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap(),
+            ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap(),
         );
     }
 
@@ -1455,7 +991,7 @@ mod tests {
     #[test]
     fn clean_runs_grow_the_window_between_settles() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = ThreadedBackend::spawn(sites, SumCoord::default()).unwrap();
+        let mut b = ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap();
         b.set_flow_control(FlowControlConfig {
             win_min: 1,
             win_max: 64,
@@ -1469,7 +1005,7 @@ mod tests {
             // clean completion and grows the window deterministically.
             b.settle();
         }
-        let stats = b.flow_control().expect("parallel backends expose stats");
+        let stats = b.flow_control().expect("the pool exposes stats");
         assert!(
             stats.windows[0] > 1,
             "window should have grown past the initial, got {}",
@@ -1482,7 +1018,7 @@ mod tests {
     #[test]
     fn backpressure_on_a_stalled_site_halves_its_window() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = ThreadedBackend::spawn(sites, SumCoord::default()).unwrap();
+        let mut b = ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap();
         b.set_flow_control(FlowControlConfig {
             win_min: 1,
             win_max: 64,

@@ -152,8 +152,8 @@ where
     }
 
     /// Mutable access to the coordinator (the [`crate::Backend`] query
-    /// path shares one signature with the threaded runtime, which hands
-    /// closures `&mut C` on the coordinator's own thread).
+    /// path shares one signature with the pool, which hands closures
+    /// `&mut C` on the coordinator's own thread).
     pub fn coordinator_mut(&mut self) -> &mut C {
         &mut self.coordinator
     }

@@ -25,7 +25,8 @@ pub enum SimError {
         /// The requested number of sites.
         sites: u32,
     },
-    /// A threaded runtime worker disappeared (channel disconnected).
+    /// A site on the pool died, or the coordinator thread disappeared
+    /// (its queue or channel disconnected).
     WorkerGone {
         /// Description of the worker.
         who: &'static str,
@@ -45,25 +46,6 @@ pub enum SimError {
     Timeout {
         /// How long the caller waited, in milliseconds.
         waited_ms: u64,
-    },
-    /// The wire transport layer failed outside of frame decoding (the
-    /// async backend's loopback link was torn down mid-hop, or a frame
-    /// could not be shipped at all). Distinct from [`SimError::WorkerGone`]:
-    /// the worker may be healthy while its link is not.
-    Transport {
-        /// What went wrong with the link.
-        detail: &'static str,
-    },
-    /// A wire frame failed to decode. Carries the protocol direction the
-    /// frame claimed to be (`"up"`/`"down"`) plus the typed codec error,
-    /// which pins the offending byte offset — so a corrupt or truncated
-    /// frame surfaces as diagnosis, never as a panic or a silent
-    /// `WorkerGone`.
-    Decode {
-        /// Which frame kind failed (`"up"` or `"down"`).
-        frame: &'static str,
-        /// The codec's typed failure, including the byte offset.
-        error: dtrack_wire::DecodeError,
     },
 }
 
@@ -90,10 +72,6 @@ impl fmt::Display for SimError {
                     "deadline expired after {waited_ms}ms; system not quiescent"
                 )
             }
-            SimError::Transport { detail } => write!(f, "wire transport failed: {detail}"),
-            SimError::Decode { frame, error } => {
-                write!(f, "wire {frame} frame failed to decode: {error}")
-            }
         }
     }
 }
@@ -119,17 +97,6 @@ mod tests {
         assert!(e.to_string().contains("site 2"));
         let e = SimError::Timeout { waited_ms: 250 };
         assert!(e.to_string().contains("250ms"));
-        let e = SimError::Transport {
-            detail: "loopback closed",
-        };
-        assert!(e.to_string().contains("loopback closed"));
-        let e = SimError::Decode {
-            frame: "up",
-            error: dtrack_wire::DecodeError::BadVersion { found: 9 },
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("up frame"), "{msg}");
-        assert!(msg.contains('9'), "{msg}");
     }
 
     #[test]

@@ -16,22 +16,16 @@
 //!   triggered communication to quiescence after every arrival while
 //!   metering every message. This is what the experiment harness uses: it
 //!   measures exactly the quantity the paper's theorems bound.
-//! * [`threaded::ThreadedCluster`] — the same protocols on real OS threads
-//!   connected by `crossbeam` channels: bounded site queues with
-//!   backpressure, event-based quiescence, per-thread meters, and both a
-//!   transcript-identical site-at-a-time batch schedule and a free-running
-//!   parallel ingest path. It demonstrates that the protocol
-//!   implementations are genuinely message-driven and share no state.
-//! * [`sharded::ShardedCluster`] — the scale-out runtime: many logical
-//!   sites multiplexed onto a fixed work-stealing worker pool (idle
-//!   workers steal whole *site-runs*, never individual items, so per-site
-//!   FIFO order is preserved by construction). One process can host
-//!   thousands of logical sites without one OS thread each.
-//! * [`async_rt::AsyncCluster`] — the async runtime: sites as lightweight
-//!   tasks on a `tokio`-style executor over a fixed worker pool, with
-//!   quiescence awaited as a notified watermark and an optional
-//!   length-prefixed wire codec (`dtrack-wire`) on every
-//!   site↔coordinator hop.
+//! * [`sharded::ShardedCluster`] — the parallel runtime: the same
+//!   protocols on a fixed work-stealing pool of OS threads, with any
+//!   number of logical sites multiplexed onto it (idle workers steal
+//!   whole *site-runs*, never individual items, so per-site FIFO order is
+//!   preserved by construction). It has bounded site queues with
+//!   backpressure, event-based quiescence, per-site meters, and both a
+//!   transcript-identical site-at-a-time batch schedule and a
+//!   free-running parallel ingest path. It demonstrates that the protocol
+//!   implementations are genuinely message-driven and share no state,
+//!   and one process can host thousands of logical sites.
 //!
 //! Protocols are written against the [`Site`] and [`Coordinator`] traits and
 //! are agnostic to which runtime carries their messages.
@@ -50,7 +44,6 @@
 //! and export Chrome `trace_event` JSON with [`Tracker::export_trace`].
 
 pub mod api;
-pub mod async_rt;
 pub mod backend;
 pub mod cluster;
 pub mod error;
@@ -59,13 +52,9 @@ pub mod meter;
 pub mod proto;
 pub mod query;
 pub mod sharded;
-pub mod threaded;
 pub mod tracker;
 
-pub use async_rt::{AsyncCluster, AsyncConfig};
-pub use backend::{
-    AsyncBackend, Backend, DeterministicBackend, FaultEvent, ShardedBackend, ThreadedBackend,
-};
+pub use backend::{Backend, DeterministicBackend, FaultEvent, ShardedBackend};
 pub use cluster::Cluster;
 pub use error::SimError;
 pub use flow::{AimdController, FlowControlConfig, FlowControlStats, WIN_MAX, WIN_MIN};

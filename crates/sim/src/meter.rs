@@ -42,7 +42,7 @@ impl KindCost {
 
 /// Interned identity of a `&'static str` kind label: data address + length.
 /// Stored as plain integers so the meter stays `Send` (raw pointers would
-/// drop the auto trait, and the threaded runtime shares the meter behind a
+/// drop the auto trait, and the pool keeps each site's meter behind a
 /// mutex).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LabelKey {
@@ -187,9 +187,9 @@ impl MessageMeter {
     /// threads metering the same kind through different literal addresses
     /// still land in one entry).
     ///
-    /// This is how the threaded runtime aggregates its per-thread meters:
-    /// each worker tallies locally with zero sharing, and the runtime
-    /// merges on snapshot/shutdown.
+    /// This is how the pool aggregates its per-site meters: each site
+    /// tallies locally with zero sharing, and the runtime merges on
+    /// snapshot/shutdown.
     pub fn merge(&mut self, other: &MessageMeter) {
         self.up.messages += other.up.messages;
         self.up.words += other.up.words;

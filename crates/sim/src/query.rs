@@ -229,7 +229,7 @@ pub enum QueryError {
     },
     /// The protocol rejected the query parameters (e.g. φ ≤ ε).
     Protocol(String),
-    /// The backend failed (e.g. a threaded worker died).
+    /// The backend failed (e.g. a pool site died).
     Runtime(SimError),
 }
 

@@ -1,12 +1,14 @@
-//! Work-stealing sharded runtime: many logical sites multiplexed onto a
-//! fixed worker pool.
+//! The parallel runtime: many logical sites multiplexed onto a fixed
+//! work-stealing worker pool.
 //!
-//! The threaded runtime ([`crate::threaded::ThreadedCluster`]) spawns one
-//! OS thread per site, which stops scaling around k ≈ cores: past that,
-//! threads mostly context-switch instead of ingesting. This runtime keeps
-//! the *same* `Site`/`Coordinator` state machines and the *same* metered
-//! transcript, but runs them on `W` worker threads (default: the number
-//! of cores), so one process can host thousands of logical sites.
+//! The same `Site`/`Coordinator` state machines as the deterministic
+//! [`crate::Cluster`], with the same metered transcript, run on `W`
+//! worker threads (default: the number of cores) plus one coordinator
+//! thread. One process can host thousands of logical sites, and with
+//! `W ≥ k` every site gets a worker of its own. Unlike the deterministic
+//! runner, arrivals at *different* sites may interleave with in-flight
+//! communication; [`ShardedCluster::settle`] waits until the system is
+//! quiescent, which is when queries are meaningful.
 //!
 //! ## Design
 //!
@@ -29,19 +31,36 @@
 //!   queue lock, guarantees a site is in at most one shard deque and
 //!   served by at most one worker at a time — so per-site FIFO order
 //!   survives any interleaving of steals and requeues.
-//! * **Same quiescence accounting.** Every command carries a
-//!   `PendingToken` from the threaded runtime: created at enqueue time,
-//!   released on drop — after the handler finished and its outputs
-//!   (carrying their own tokens) were enqueued, or when a dead site's
-//!   queue is drained, or when a handler panics. [`ShardedCluster::settle`]
-//!   parks on the same counter, so it can never hang on a stalled or
-//!   dead worker.
+//! * **Bounded site queues, unbounded coordinator inbox.** A site queue
+//!   holds at most [`SITE_QUEUE_CAP`] commands by default; a faster
+//!   producer (the feeder, or the coordinator fanning out downs) parks
+//!   instead of growing the queue. The coordinator's inbox stays
+//!   unbounded on purpose: upstream traffic is protocol-bounded
+//!   (O(k/ε·log n) words for the whole stream), and an unbounded inbox
+//!   breaks the only send cycle in the system (site → coordinator →
+//!   site). A worker serving a site never blocks sending up, so it always
+//!   drains that site's queue, so parked down-sends and feeds always make
+//!   progress: the bounded queues cannot deadlock. `dtrack-lint`'s D3
+//!   rule checks this claim on the registered wait-for graph.
+//! * **Event-based quiescence.** One atomic counter (`Pending`) tracks
+//!   commands and messages that are queued or being processed;
+//!   [`ShardedCluster::settle`] parks on a condvar that the last
+//!   decrement signals — no spinning.
+//! * **Token-tracked pending counts.** Every tracked command carries a
+//!   `PendingToken` that increments the counter on creation and
+//!   decrements it on drop. Handlers hold the token while they run and
+//!   enqueue their outputs (which carry their own tokens) before
+//!   releasing it, so the counter only reaches zero when a whole cascade
+//!   has finished. The token makes the counter leak-proof by
+//!   construction: a push that fails (the command comes back inside the
+//!   error), a dead site's drained queue, and a handler that panics all
+//!   release their count on the normal drop path, so `settle` can never
+//!   hang on a stalled or dead site.
 //! * **Per-site meters.** Upstream hops are metered at the sending site,
 //!   downstream hops at the receiving site, each into that site's own
 //!   [`MessageMeter`] (touched only by the worker currently serving the
 //!   site — no contended lock on the per-hop path). [`ShardedCluster::cost`]
-//!   and [`ShardedCluster::shutdown`] merge them on demand, exactly like
-//!   the threaded runtime's per-thread meters.
+//!   and [`ShardedCluster::shutdown`] merge them on demand.
 //! * **Death containment.** A panicking site handler poisons only that
 //!   site: the worker catches the unwind, discards the site's state,
 //!   marks its queue dead (draining it releases the queued tokens and
@@ -64,8 +83,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dtrack_trace::{
     merge_snapshots, SiteTracer, TraceConfig, TraceEvent, TraceEventKind, TraceLane, TraceShared,
 };
@@ -73,7 +93,138 @@ use dtrack_trace::{
 use crate::error::SimError;
 use crate::meter::MessageMeter;
 use crate::proto::{Coordinator, Down, MessageSize, Outbox, Site, SiteId};
-use crate::threaded::{Pending, PendingToken, RunTicket, SITE_QUEUE_CAP};
+
+/// Default capacity of each site's command queue. Deep enough that the
+/// feeder and the coordinator rarely contend on a healthy run, shallow
+/// enough that a stalled site exerts backpressure (a blocked `feed`)
+/// instead of accumulating unbounded memory. Override it per cluster
+/// with [`ShardedConfig::site_queue_cap`] or
+/// `TrackerBuilder::site_queue_cap`.
+pub const SITE_QUEUE_CAP: usize = 1024;
+
+/// Shared bookkeeping for quiescence detection: the number of messages
+/// that are queued or currently being processed, plus the condvar
+/// [`ShardedCluster::settle`] parks on.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    count: AtomicU64,
+    idle_lock: Mutex<()>,
+    idle_cv: Condvar,
+}
+
+impl Pending {
+    fn inc(&self) {
+        self.count.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn dec(&self) {
+        let prev = self.count.fetch_sub(1, Ordering::SeqCst);
+        // An unmatched decrement used to wrap to u64::MAX and silently
+        // wedge quiescence detection; fail loudly instead.
+        assert!(
+            prev != 0,
+            "Pending::dec without a matching inc — quiescence counter underflow"
+        );
+        if prev == 1 {
+            // Take the lock before notifying so a waiter that has checked
+            // the counter but not yet parked cannot miss the wakeup.
+            let _guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Current in-flight count (commands plus undelivered protocol
+    /// messages) — the free-running flow controller's backlog signal.
+    pub(crate) fn count(&self) -> u64 {
+        self.count.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn wait_idle(&self) {
+        if self.count.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
+        while self.count.load(Ordering::SeqCst) != 0 {
+            guard = self.idle_cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Deadline-aware [`Pending::wait_idle`]: `true` when the system went
+    /// quiescent, `false` when the deadline expired first (the count may
+    /// still drain later — nothing is cancelled).
+    pub(crate) fn wait_idle_deadline(&self, deadline: Duration) -> bool {
+        if self.count.load(Ordering::SeqCst) == 0 {
+            return true;
+        }
+        let start = Instant::now();
+        let mut guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
+        while self.count.load(Ordering::SeqCst) != 0 {
+            let elapsed = start.elapsed();
+            if elapsed >= deadline {
+                return false;
+            }
+            let (g, _) = self
+                .idle_cv
+                .wait_timeout(guard, deadline - elapsed)
+                .unwrap_or_else(|e| e.into_inner());
+            guard = g;
+        }
+        true
+    }
+}
+
+/// One unit of the pending count, held by exactly one in-flight command.
+/// Created at send time (increments), released on drop (decrements) — on
+/// the success path after the handler finishes, but equally when a send
+/// fails and returns the command, when a disconnected queue destroys its
+/// backlog, or when a handler panics and unwinds.
+pub(crate) struct PendingToken(Arc<Pending>);
+
+impl PendingToken {
+    pub(crate) fn new(pending: &Arc<Pending>) -> Self {
+        pending.inc();
+        PendingToken(Arc::clone(pending))
+    }
+}
+
+impl Drop for PendingToken {
+    fn drop(&mut self) {
+        self.0.dec();
+    }
+}
+
+/// Completion handle for a free-running [`ShardedCluster::ingest_run`].
+#[must_use = "hold the ticket and wait on it to bound in-flight items per site"]
+pub struct RunTicket(pub(crate) Receiver<()>);
+
+impl RunTicket {
+    /// Block until the run has been fully consumed.
+    ///
+    /// Returns [`SimError::WorkerGone`] when the consuming site died
+    /// before finishing the run (its `done` sender is dropped with the
+    /// discarded command): the items were *not* all ingested, and callers
+    /// that used to treat this as normal completion silently dropped
+    /// data. The disconnect still resolves immediately — a dead site
+    /// can never hang the feeder.
+    pub fn wait(self) -> Result<(), SimError> {
+        self.0
+            .recv()
+            .map_err(|_| SimError::WorkerGone { who: "site" })
+    }
+
+    /// Deadline-aware [`RunTicket::wait`]: a run still unconsumed after
+    /// `deadline` (a stalled or wedged site) returns
+    /// [`SimError::Timeout`] instead of parking forever. The ticket is
+    /// consumed either way; the run itself is not cancelled.
+    pub fn wait_timeout(self, deadline: Duration) -> Result<(), SimError> {
+        self.0.recv_timeout(deadline).map_err(|e| match e {
+            RecvTimeoutError::Timeout => SimError::Timeout {
+                waited_ms: deadline.as_millis() as u64,
+            },
+            RecvTimeoutError::Disconnected => SimError::WorkerGone { who: "site" },
+        })
+    }
+}
 
 /// Configuration of the sharded worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +232,8 @@ pub struct ShardedConfig {
     /// Worker threads serving all sites; `None` means one per available
     /// core (`std::thread::available_parallelism`). Clamped to ≥ 1.
     pub workers: Option<usize>,
-    /// Per-site command-queue capacity (see
-    /// [`crate::threaded::SITE_QUEUE_CAP`], the shared default). Clamped
-    /// to ≥ 1.
+    /// Per-site command-queue capacity (default [`SITE_QUEUE_CAP`]).
+    /// Clamped to ≥ 1.
     pub site_queue_cap: usize,
 }
 
@@ -111,9 +261,9 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// One queued unit of site work. Mirrors the threaded runtime's command
-/// set; meter snapshots and teardown are handled out-of-band (the pool
-/// owns the site state, so no `Meter`/`Stop` commands are needed).
+/// One queued unit of site work. Meter snapshots and teardown are
+/// handled out-of-band (the pool owns the site state, so no
+/// `Meter`/`Stop` commands are needed).
 enum ShardCmd<S: Site> {
     /// One item; the per-item slow path.
     Item(S::Item, PendingToken),
@@ -194,10 +344,10 @@ struct SiteSlot<S: Site> {
 /// next queued command is coordinator feedback (a `Down`): workers
 /// drain it first across all shards, because a site sitting on
 /// unapplied feedback while other sites consume items is exactly the
-/// staleness that makes protocols over-communicate. The one-thread-per-
-/// site runtime gets this ordering from the OS for free (a polled idle
-/// site is a blocked thread that wakes and replies immediately); the
-/// pool has to schedule it deliberately. Per-site FIFO is untouched --
+/// staleness that makes protocols over-communicate. With one thread per
+/// site the OS would give this ordering for free (a polled idle site is
+/// a blocked thread that wakes and replies immediately); the pool has to
+/// schedule it deliberately. Per-site FIFO is untouched --
 /// the lane only decides *which site* is claimed next, never reorders
 /// one site's queue.
 #[derive(Default)]
@@ -359,7 +509,7 @@ impl<S: Site> Pool<S> {
     }
 }
 
-/// Coordinator-thread commands (same shape as the threaded runtime's).
+/// Coordinator-thread commands.
 enum CoordCmd<C: Coordinator> {
     Up(SiteId, C::Up, PendingToken),
     With(Box<dyn FnOnce(&mut C) + Send>),
@@ -367,8 +517,7 @@ enum CoordCmd<C: Coordinator> {
 }
 
 /// A cluster multiplexing many logical sites onto a fixed work-stealing
-/// worker pool plus one coordinator thread. Public surface mirrors
-/// [`crate::threaded::ThreadedCluster`].
+/// worker pool plus one coordinator thread.
 pub struct ShardedCluster<S, C>
 where
     S: Site + Send + 'static,
@@ -476,7 +625,7 @@ where
         self.pool.shards.len()
     }
 
-    fn check_site(&self, site: SiteId) -> Result<usize, SimError> {
+    pub(crate) fn check_site(&self, site: SiteId) -> Result<usize, SimError> {
         if site.index() >= self.pool.sites.len() {
             return Err(SimError::NoSuchSite {
                 site: site.0,
@@ -535,13 +684,13 @@ where
         self.push(idx, ShardCmd::Item(item, token))
     }
 
-    /// Deliver a pre-assigned batch on the transcript-identical
-    /// site-at-a-time schedule: consecutive same-site runs go to
-    /// [`Site::on_items`] one quiescent step at a time, with the feeder
-    /// settling the triggered cascade between steps — answers *and*
-    /// metered words are bit-identical to the deterministic runner (see
-    /// [`crate::threaded::ThreadedCluster::feed_batch`], which this
-    /// mirrors exactly).
+    /// Deliver a pre-assigned batch on a site-at-a-time schedule with the
+    /// transcript of [`crate::Cluster::feed_batch`]: consecutive same-site
+    /// runs go to [`Site::on_items`] as a slice, and after every
+    /// message-triggering step the feeder waits for global quiescence
+    /// before the site consumes further items — coordinator replies land
+    /// between items exactly as in per-item delivery, so answers *and*
+    /// metered words are bit-identical to the deterministic runner.
     pub fn feed_batch(&self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
         let mut i = 0;
         while i < batch.len() {
@@ -581,11 +730,20 @@ where
         Ok(())
     }
 
-    /// Enqueue a whole same-site run for free-running consumption (the
-    /// parallel throughput path; transcript not pinned). Returns a
-    /// [`RunTicket`] resolving when the run has been fully consumed —
-    /// keep a small window of unresolved tickets per site, exactly as
-    /// with [`crate::threaded::ThreadedCluster::ingest_run`].
+    /// Enqueue a whole same-site run for free-running consumption: the
+    /// site works through it with [`Site::on_items`] without waiting for
+    /// global quiescence, so runs on different sites proceed in parallel.
+    /// Maximum throughput, but in-flight communication interleaves with
+    /// arrivals — the transcript is not deterministic (the ε-guarantee
+    /// still holds at quiescence; the differential tests for that use
+    /// [`ShardedCluster::feed_batch`]).
+    ///
+    /// Returns a [`RunTicket`] that resolves when the run has been fully
+    /// consumed. Feeders should keep only a small window of unresolved
+    /// tickets per site: every queued-but-unconsumed item widens the gap
+    /// between a site's progress and the coordinator feedback it has
+    /// applied, and a feedback-starved site over-communicates (stale
+    /// thresholds) — backpressure by ticket, not by queue overflow.
     pub fn ingest_run(&self, site: SiteId, items: Vec<S::Item>) -> Result<RunTicket, SimError> {
         let idx = self.check_site(site)?;
         let (dtx, drx) = unbounded();
@@ -814,8 +972,8 @@ where
 /// would hold every other ready site's coordinator feedback (threshold
 /// updates, poll replies) hostage behind it, and feedback-starved sites
 /// over-communicate — the fairness quantum keeps service round-robin at
-/// run granularity, which is exactly the interleaving the one-thread-
-/// per-site runtime gets from the OS scheduler for free.
+/// run granularity, the interleaving an OS scheduler would give one
+/// thread per site for free.
 const LIGHT_QUANTUM: usize = 256;
 
 /// Serve one site-run: pop the site's queue in FIFO order up to the
@@ -1067,10 +1225,9 @@ fn handle_cmd<S, C>(
 }
 
 /// Consume one free-running run to completion, applying coordinator
-/// feedback that has already arrived between `on_items` steps (exactly
-/// as the threaded runtime does mid-`Run`): Downs from the front of the
-/// site's queue are processed immediately, other commands are deferred
-/// in order and put back at the front afterwards.
+/// feedback that has already arrived between `on_items` steps: Downs
+/// from the front of the site's queue are processed immediately, other
+/// commands are deferred in order and put back at the front afterwards.
 fn run_step<S, C>(
     pool: &Pool<S>,
     idx: usize,
@@ -1134,9 +1291,9 @@ fn run_step<S, C>(
         }
     }
     if !deferred.is_empty() {
-        // Replay deferred commands ahead of anything enqueued since; the
-        // transient overshoot past `queue_cap` mirrors the threaded
-        // runtime's deferred buffer living outside its bounded channel.
+        // Replay deferred commands ahead of anything enqueued since. The
+        // queue may transiently overshoot `queue_cap`; the deferred
+        // commands were already admitted under the cap once.
         let mut q = pool.lock_queue(idx);
         while let Some(cmd) = deferred.pop_back() {
             q.cmds.push_front(cmd);
@@ -1621,5 +1778,30 @@ mod tests {
             let expect: Vec<u64> = (0..cursors[s]).collect();
             assert_eq!(site.seen, expect, "site {s} out of order");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "quiescence counter underflow")]
+    fn pending_underflow_panics_instead_of_wrapping() {
+        let p = Pending::default();
+        p.dec();
+    }
+
+    #[test]
+    fn pending_settles_across_threads() {
+        let pending = Arc::new(Pending::default());
+        let tokens: Vec<PendingToken> = (0..64).map(|_| PendingToken::new(&pending)).collect();
+        let waiter = {
+            let pending = Arc::clone(&pending);
+            std::thread::spawn(move || pending.wait_idle())
+        };
+        let dropper = std::thread::spawn(move || {
+            for t in tokens {
+                drop(t);
+            }
+        });
+        dropper.join().unwrap();
+        waiter.join().unwrap();
+        assert_eq!(pending.count.load(Ordering::SeqCst), 0);
     }
 }

@@ -5,7 +5,7 @@
 //! let mut tracker = Tracker::builder()
 //!     .sites(k)
 //!     .protocol(some_protocol)          // anything implementing Protocol
-//!     .backend(BackendKind::Threaded)   // or Deterministic (the default)
+//!     .backend(BackendKind::Sharded { workers: None })   // or Deterministic (the default)
 //!     .build()?;
 //! tracker.feed_batch(&stream)?;
 //! let hh = tracker.query(Query::HeavyHitters { phi: 0.05 })?;
@@ -19,8 +19,8 @@
 //!   against the coordinator. Implementations live next to each protocol
 //!   (`dtrack-core`, `dtrack-baseline`); the testkit's registry maps its
 //!   `ProtocolSpec` matrix axis onto them in exactly one table.
-//! * [`crate::Backend`] is the *typed* runtime surface (deterministic or
-//!   threaded today; async/sharded backends are drop-in).
+//! * [`crate::Backend`] is the *typed* runtime surface (the deterministic
+//!   cluster or the work-stealing pool; a new runtime is a drop-in impl).
 //! * [`ErasedProtocol`] is the object-safe product of the two, and
 //!   [`Tracker`] is a plain struct wrapping `Box<dyn ErasedProtocol>` so
 //!   callers never see a type parameter.
@@ -47,35 +47,29 @@ use std::time::Duration;
 
 use dtrack_trace::{write_chrome_file, TraceConfig, TraceEvent, TraceSummary};
 
-use crate::async_rt::AsyncConfig;
-use crate::backend::{
-    AsyncBackend, Backend, DeterministicBackend, FaultEvent, ShardedBackend, ThreadedBackend,
-};
+use crate::backend::{Backend, DeterministicBackend, FaultEvent, ShardedBackend};
 use crate::error::SimError;
 use crate::flow::FlowControlConfig;
 use crate::meter::MessageMeter;
 use crate::proto::{Coordinator, MessageSize, Site, SiteId};
 use crate::query::{Answer, Query, QueryError};
-use crate::sharded::ShardedConfig;
-use crate::threaded::SITE_QUEUE_CAP;
+use crate::sharded::{ShardedConfig, SITE_QUEUE_CAP};
 
 /// A typed description of one tracking protocol: construction plus the
 /// query surface over its coordinator.
 ///
-/// The bounds make every protocol runnable on every backend (the
-/// threaded runtime needs `Send` state machines and `Send + Sync`
-/// downstream messages; the async backend additionally requires both
-/// message types to carry a [`dtrack_wire::WireMessage`] codec so a
-/// tracker can opt into the framed wire path); `Clone` lets the facade
-/// carry the description into backend threads for queries.
+/// The bounds make every protocol runnable on every backend (the pool
+/// needs `Send` state machines and `Send + Sync` downstream messages);
+/// `Clone` lets the facade carry the description into backend threads
+/// for queries.
 pub trait Protocol: Clone + Send + Sync + 'static {
     /// Site state machine (items are pinned to `u64`, the paper's
     /// word-sized universe).
     type Site: Site<Item = u64, Up = Self::Up, Down = Self::Down> + Send + 'static;
     /// Upstream message type.
-    type Up: MessageSize + dtrack_wire::WireMessage + Send + 'static;
+    type Up: MessageSize + Send + 'static;
     /// Downstream message type.
-    type Down: MessageSize + dtrack_wire::WireMessage + Send + Sync + 'static;
+    type Down: MessageSize + Send + Sync + 'static;
     /// Coordinator state machine.
     type Coordinator: Coordinator<Up = Self::Up, Down = Self::Down> + Send + 'static;
 
@@ -117,28 +111,14 @@ pub enum BackendKind {
     /// Single-threaded, transcript-pinned (wraps [`crate::Cluster`]).
     #[default]
     Deterministic,
-    /// One OS thread per site plus a coordinator thread (wraps
-    /// [`crate::threaded::ThreadedCluster`]).
-    Threaded,
     /// A fixed work-stealing worker pool multiplexing any number of
     /// logical sites (wraps [`crate::sharded::ShardedCluster`]) — the
-    /// runtime for site counts far past the core count.
+    /// parallel runtime, from one worker per site to site counts far
+    /// past the core count.
     Sharded {
-        /// Worker threads; `None` means one per available core.
+        /// Worker threads; `None` means one per available core, and
+        /// `Some(k)` gives each of k sites a worker of its own.
         workers: Option<usize>,
-    },
-    /// Sites as lightweight async tasks on a fixed-size executor (wraps
-    /// [`crate::async_rt::AsyncCluster`]), optionally running every
-    /// site↔coordinator hop through the `dtrack-wire` framed codec.
-    Async {
-        /// Executor worker threads; `None` means one per available core.
-        workers: Option<usize>,
-        /// Route every message through the length-prefixed wire codec
-        /// (encode → frame → decode on each hop). The decoded message is
-        /// bit-identical to the original, so the metered transcript is
-        /// unchanged; only [`crate::async_rt::AsyncCluster::wire_stats`]
-        /// observes the difference.
-        wire: bool,
     },
 }
 
@@ -146,21 +126,10 @@ impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendKind::Deterministic => write!(f, "deterministic"),
-            BackendKind::Threaded => write!(f, "threaded"),
             BackendKind::Sharded { workers: None } => write!(f, "sharded"),
             BackendKind::Sharded {
                 workers: Some(workers),
             } => write!(f, "sharded({workers})"),
-            BackendKind::Async { workers, wire } => {
-                match workers {
-                    Some(workers) => write!(f, "async({workers})")?,
-                    None => write!(f, "async")?,
-                }
-                if *wire {
-                    write!(f, "+wire")?;
-                }
-                Ok(())
-            }
         }
     }
 }
@@ -446,9 +415,9 @@ impl<P> TrackerBuilder<P> {
         self
     }
 
-    /// Per-site command-queue capacity for the parallel backends
-    /// (threaded and sharded; the deterministic backend has no queues).
-    /// Default: [`crate::threaded::SITE_QUEUE_CAP`]. Deeper queues absorb
+    /// Per-site command-queue capacity for the pool (the deterministic
+    /// backend has no queues). Default:
+    /// [`crate::sharded::SITE_QUEUE_CAP`]. Deeper queues absorb
     /// burstier feeders before `feed` blocks; shallower queues bound
     /// memory and feedback staleness more tightly.
     pub fn site_queue_cap(mut self, cap: usize) -> Self {
@@ -456,8 +425,8 @@ impl<P> TrackerBuilder<P> {
         self
     }
 
-    /// Free-running flow-control configuration for the parallel backends
-    /// (see [`FlowControlConfig`]; default: the adaptive default config).
+    /// Free-running flow-control configuration for the pool (see
+    /// [`FlowControlConfig`]; default: the adaptive default config).
     /// The deterministic backend needs no flow control and ignores this.
     /// Validated at [`TrackerBuilder::build`].
     pub fn flow_control(mut self, config: FlowControlConfig) -> Self {
@@ -511,15 +480,6 @@ impl<P: Protocol> TrackerBuilder<P> {
                 detail: "sharded pool needs at least 1 worker".to_owned(),
             });
         }
-        if let BackendKind::Async {
-            workers: Some(0), ..
-        } = self.backend
-        {
-            return Err(TrackerError::InvalidConfig {
-                knob: "backend",
-                detail: "async executor needs at least 1 worker".to_owned(),
-            });
-        }
         if self.queue_cap == Some(0) {
             return Err(TrackerError::InvalidConfig {
                 knob: "site_queue_cap",
@@ -566,17 +526,6 @@ impl<P: Protocol> TrackerBuilder<P> {
                 protocol: self.protocol,
                 deadline,
             }),
-            BackendKind::Threaded => {
-                let mut backend = ThreadedBackend::spawn_with_cap(sites, coordinator, queue_cap)?;
-                if let Some(flow) = self.flow {
-                    backend.set_flow_control(flow);
-                }
-                Box::new(Bound {
-                    backend,
-                    protocol: self.protocol,
-                    deadline,
-                })
-            }
             BackendKind::Sharded { workers } => {
                 let mut backend = ShardedBackend::spawn_with(
                     sites,
@@ -584,25 +533,6 @@ impl<P: Protocol> TrackerBuilder<P> {
                     ShardedConfig {
                         workers,
                         site_queue_cap: queue_cap,
-                    },
-                )?;
-                if let Some(flow) = self.flow {
-                    backend.set_flow_control(flow);
-                }
-                Box::new(Bound {
-                    backend,
-                    protocol: self.protocol,
-                    deadline,
-                })
-            }
-            BackendKind::Async { workers, wire } => {
-                let mut backend = AsyncBackend::spawn_with(
-                    sites,
-                    coordinator,
-                    AsyncConfig {
-                        workers,
-                        site_queue_cap: queue_cap,
-                        wire,
                     },
                 )?;
                 if let Some(flow) = self.flow {
@@ -717,8 +647,8 @@ impl Tracker {
     }
 
     /// Answer a typed query against the quiescent coordinator state.
-    /// Settles first, so a mid-stream query on the threaded backend
-    /// observes a consistent snapshot; costs zero communication (queries
+    /// Settles first, so a mid-stream query on the pool observes a
+    /// consistent snapshot; costs zero communication (queries
     /// read continuously maintained state).
     pub fn query(&mut self, query: Query) -> Result<Answer, QueryError> {
         self.inner.query(query)
@@ -772,8 +702,8 @@ impl Tracker {
         write_chrome_file(&events, path)
     }
 
-    /// Tear down the backend and return the final merged meter. Worker
-    /// death on the threaded backend surfaces here. When [`TRACE_ENV`]
+    /// Tear down the backend and return the final merged meter. A site
+    /// that died on the pool surfaces here. When [`TRACE_ENV`]
     /// requested a Chrome export, it is written (best-effort) first.
     pub fn finish(mut self) -> Result<MessageMeter, SimError> {
         if let Some(path) = self.trace_export.take() {
@@ -814,23 +744,6 @@ mod tests {
         }
         fn kind(&self) -> &'static str {
             "t/down"
-        }
-    }
-
-    impl dtrack_wire::WireMessage for UpMsg {
-        fn wire_encode(&self, _out: &mut Vec<u8>) {}
-        fn wire_decode(
-            _r: &mut dtrack_wire::WireReader<'_>,
-        ) -> Result<Self, dtrack_wire::DecodeError> {
-            Ok(UpMsg)
-        }
-    }
-    impl dtrack_wire::WireMessage for NoDown {
-        fn wire_encode(&self, _out: &mut Vec<u8>) {}
-        fn wire_decode(
-            _r: &mut dtrack_wire::WireReader<'_>,
-        ) -> Result<Self, dtrack_wire::DecodeError> {
-            Ok(NoDown)
         }
     }
 
@@ -892,16 +805,8 @@ mod tests {
     fn tracker_feeds_queries_and_finishes() {
         for backend in [
             BackendKind::Deterministic,
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: false,
-            },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: true,
-            },
         ] {
             let mut t = Tracker::builder()
                 .sites(3)
@@ -934,12 +839,8 @@ mod tests {
     fn tracker_routes_faults_to_every_backend() {
         for backend in [
             BackendKind::Deterministic,
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: true,
-            },
         ] {
             let mut t = Tracker::builder()
                 .sites(3)
@@ -963,6 +864,29 @@ mod tests {
             .unwrap();
             t.feed(SiteId(0), 3).unwrap();
             assert_eq!(t.query(Query::Count).unwrap(), Answer::Count(2));
+            // Free-running ingest to a killed site fails like a feed, even
+            // while an earlier run to that site is still queued behind a
+            // stall: the pool must not park the items in its flow-control
+            // buffer and drop them at the next flush.
+            t.inject_fault(FaultEvent::StallSite {
+                site: SiteId(0),
+                micros: 300_000,
+            })
+            .unwrap();
+            t.ingest(SiteId(0), (0..10).collect()).unwrap();
+            t.inject_fault(FaultEvent::KillSite { site: SiteId(0) })
+                .unwrap();
+            assert_eq!(
+                t.ingest(SiteId(0), (10..20).collect()),
+                Err(SimError::SiteDown { site: 0 }),
+                "{backend}"
+            );
+            t.settle();
+            assert_eq!(
+                t.query(Query::Count).unwrap(),
+                Answer::Count(12),
+                "{backend}"
+            );
             t.finish().unwrap();
         }
     }
@@ -985,28 +909,9 @@ mod tests {
             ),
             "{zero_workers}"
         );
-        let zero_async_workers = Tracker::builder()
-            .sites(2)
-            .backend(BackendKind::Async {
-                workers: Some(0),
-                wire: false,
-            })
-            .protocol(CountProtocol)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(
-                zero_async_workers,
-                TrackerError::InvalidConfig {
-                    knob: "backend",
-                    ..
-                }
-            ),
-            "{zero_async_workers}"
-        );
         let zero_cap = Tracker::builder()
             .sites(2)
-            .backend(BackendKind::Threaded)
+            .backend(BackendKind::Sharded { workers: Some(16) })
             .site_queue_cap(0)
             .protocol(CountProtocol)
             .build()
@@ -1039,7 +944,7 @@ mod tests {
         );
         let bad_flow = Tracker::builder()
             .sites(2)
-            .backend(BackendKind::Threaded)
+            .backend(BackendKind::Sharded { workers: Some(16) })
             .flow_control(crate::flow::FlowControlConfig {
                 win_min: 64,
                 win_max: 16,
@@ -1065,12 +970,8 @@ mod tests {
     #[test]
     fn flow_control_query_reports_runtime_state_on_parallel_backends() {
         for backend in [
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: false,
-            },
         ] {
             let mut t = Tracker::builder()
                 .sites(3)
@@ -1103,12 +1004,8 @@ mod tests {
     fn trace_query_and_export_work_on_every_backend() {
         for backend in [
             BackendKind::Deterministic,
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: true,
-            },
         ] {
             let mut t = Tracker::builder()
                 .sites(3)
@@ -1149,12 +1046,8 @@ mod tests {
     fn settle_deadline_flows_through_the_facade() {
         for backend in [
             BackendKind::Deterministic,
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: true,
-            },
         ] {
             let mut t = Tracker::builder()
                 .sites(2)
@@ -1179,7 +1072,7 @@ mod tests {
     fn deadline_query_times_out_on_a_stalled_site() {
         let mut t = Tracker::builder()
             .sites(2)
-            .backend(BackendKind::Threaded)
+            .backend(BackendKind::Sharded { workers: Some(16) })
             .settle_deadline(Duration::from_millis(20))
             .protocol(CountProtocol)
             .build()

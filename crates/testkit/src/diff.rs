@@ -320,7 +320,7 @@ pub fn assert_outcomes_match(
 /// Assert metered totals match the golden fixture. The fixture pins
 /// totals only, so the table shows the actual per-kind breakdown with a
 /// totals delta footer. `label` names the side under test
-/// (e.g. `threaded`, `meter-mode`).
+/// (e.g. `sharded`, `meter-mode`).
 pub fn assert_matches_golden(
     scenario: &Scenario,
     context: &str,
@@ -404,7 +404,8 @@ mod tests {
             9,
             ProtocolSpec::Counter,
         );
-        let report = trace_diff(&s, BackendKind::Deterministic, BackendKind::Threaded);
+        let pool = BackendKind::Sharded { workers: Some(16) };
+        let report = trace_diff(&s, BackendKind::Deterministic, pool);
         assert!(
             report.contains("hop streams are identical"),
             "equivalent backends must produce agreeing hop streams:\n{report}"
@@ -423,8 +424,9 @@ mod tests {
             4,
             ProtocolSpec::Counter,
         );
-        let thr = crate::threaded::run_scenario_threaded(&s).unwrap();
+        let pool = BackendKind::Sharded { workers: Some(16) };
+        let thr = crate::threaded::run_scenario_on_backend(&s, pool).unwrap();
         let det = crate::threaded::run_scenario_reference(&s).unwrap();
-        assert_outcomes_match(&s, "", BackendKind::Threaded, &thr, &det);
+        assert_outcomes_match(&s, "", pool, &thr, &det);
     }
 }

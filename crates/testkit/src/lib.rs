@@ -62,8 +62,8 @@ pub use runner::{
 };
 pub use scenario::{AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario, Tuning};
 pub use threaded::{
-    measure_on_backend, measure_threaded, run_scenario_on_backend, run_scenario_reference,
-    run_scenario_threaded, run_scenario_traced, ThreadedIngest, ThreadedOutcome,
+    measure_on_backend, run_scenario_on_backend, run_scenario_reference, run_scenario_traced,
+    ThreadedIngest, ThreadedOutcome,
 };
 
 // The facade types scenario drivers hand out, re-exported so harness

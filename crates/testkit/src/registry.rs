@@ -247,7 +247,7 @@ fn finish_build<P: dtrack_sim::Protocol>(
         });
     if let Some(cap) = scenario.faults.queue_cap {
         // Queue-cap fault axis: shallow site queues force backpressure on
-        // the parallel backends (the deterministic one has no queues).
+        // the pool (the deterministic backend has no queues).
         builder = builder.site_queue_cap(cap as usize);
     }
     builder.protocol(protocol).build().map_err(err_str)
@@ -632,7 +632,10 @@ mod tests {
             1,
             ProtocolSpec::Counter,
         );
-        for backend in [BackendKind::Deterministic, BackendKind::Threaded] {
+        for backend in [
+            BackendKind::Deterministic,
+            BackendKind::Sharded { workers: Some(16) },
+        ] {
             let (tracker, warmup) = build_tracker(&s, WarmupPolicy::Differential, backend).unwrap();
             assert_eq!(warmup, 0);
             assert_eq!(tracker.protocol_label(), "counter");

@@ -10,8 +10,8 @@
 //!   and at the end, then check the metered communication against the
 //!   paper's bound.
 //! * [`run_scenario_on`] — the same differential run on a chosen
-//!   [`BackendKind`]; the site-at-a-time schedule makes the threaded
-//!   backend transcript-identical, so the same budgets apply.
+//!   [`BackendKind`]; the site-at-a-time schedule makes the pool
+//!   transcript-identical, so the same budgets apply.
 //! * [`measure_cost`] — meter-only mode: feed the same stream and report
 //!   the metered cost without maintaining an oracle or enforcing the
 //!   budget. This is what the experiment harness uses for its scaling
@@ -51,7 +51,7 @@ enum FeedMode {
 /// Items per `feed_batch` call. Large enough to amortize per-call
 /// overhead, small enough to stay cache-resident; checkpoints shorten the
 /// final chunk before each boundary so check timing is unaffected. The
-/// threaded driver (and the bench harness's facade-vs-direct cells) ship
+/// pool driver (and the bench harness's facade-vs-direct cells) ship
 /// the same chunks so every driver sees identical same-site runs.
 pub const FEED_CHUNK: u64 = 4096;
 
@@ -71,7 +71,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioFailu
 }
 
 /// [`run_scenario`] on an explicit backend. The batched site-at-a-time
-/// schedule keeps the threaded backend's transcript — and therefore its
+/// schedule keeps the pool's transcript — and therefore its
 /// budget compliance — bit-identical to the deterministic one.
 pub fn run_scenario_on(
     scenario: &Scenario,
@@ -275,7 +275,7 @@ fn drive(
         checks += check(&mut tracker, &oracle, s).map_err(|e| format!("final check: {e}"))?;
     }
 
-    // Tear down through finish() so threaded worker death surfaces as an
+    // Tear down through finish() so a dead pool site surfaces as an
     // error instead of silently yielding a partial transcript; the
     // returned meter is the post-settle merge cost() would have given.
     let meter = tracker
@@ -379,10 +379,10 @@ mod tests {
     fn differential_mode_passes_on_the_threaded_backend_too() {
         // The site-at-a-time schedule is transcript-identical, so the
         // same differential run (checks, budget, words) must succeed and
-        // meter identically on real threads.
+        // meter identically on real threads, one pool worker per site.
         let s = base(ProtocolSpec::HhExact);
         let det = run_scenario(&s).unwrap();
-        let thr = run_scenario_on(&s, BackendKind::Threaded).unwrap();
-        assert_eq!(det, thr);
+        let pool = run_scenario_on(&s, BackendKind::Sharded { workers: Some(16) }).unwrap();
+        assert_eq!(det, pool);
     }
 }

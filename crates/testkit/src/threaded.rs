@@ -1,15 +1,15 @@
-//! Drive a [`Scenario`] through the threaded runtime — via the same
+//! Drive a [`Scenario`] through the multi-threaded pool — via the same
 //! [`Tracker`] facade as [`crate::runner`], so there is no per-protocol
 //! code here at all.
 //!
-//! Two generic entry points serve every parallel backend (threaded and
-//! sharded — anything behind a [`BackendKind`]):
+//! Two generic entry points serve any [`BackendKind`] (in practice the
+//! work-stealing pool at some worker count):
 //!
 //! * [`run_scenario_on_backend`] — site-at-a-time schedule through the
 //!   backend's `feed_batch`: the transcript (final answers *and* metered
 //!   words) must be bit-identical to the deterministic runner on the
 //!   same stream, and `testkit`'s equivalence tests assert exactly that
-//!   against the golden fixture for each parallel backend.
+//!   against the golden fixture for each pool shape.
 //! * [`measure_on_backend`] — free-running parallel ingest for
 //!   throughput benchmarks: items flow to all sites concurrently (per
 //!   item or as per-site runs through [`Tracker::ingest`]) with a single
@@ -17,10 +17,8 @@
 //!   metered words are *not* transcript-pinned here because arrivals
 //!   interleave with in-flight communication.
 //!
-//! The named wrappers [`run_scenario_threaded`] (threaded backend),
-//! [`run_scenario_reference`] (the deterministic twin: same
-//! construction, same chunked schedule, same answer extraction), and
-//! [`measure_threaded`] pin the common cases.
+//! [`run_scenario_reference`] is the deterministic twin: same
+//! construction, same chunked schedule, same answer extraction.
 //!
 //! Answers are typed [`Answer`]s whose `Display` reproduces the legacy
 //! canonical strings (sorted where the underlying query has no inherent
@@ -35,18 +33,18 @@ use crate::scenario::Scenario;
 use dtrack_sim::{Answer, BackendKind, SiteId, TraceConfig, TraceEvent, Tracker};
 use std::time::Instant;
 
-/// How [`measure_threaded`] delivers items to the threaded backend.
+/// How [`measure_on_backend`] delivers items to the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadedIngest {
     /// One [`Tracker::feed`] call per item — the per-hop baseline.
     PerItem,
-    /// Per-site runs through [`Tracker::ingest`], keeping all site
-    /// threads busy with `Site::on_items` fast-path consumption (the
+    /// Per-site runs through [`Tracker::ingest`], keeping every pool
+    /// worker busy with `Site::on_items` fast-path consumption (the
     /// backend's AIMD flow controller paces run lengths per site).
     Batched,
 }
 
-/// Outcome of one threaded (or reference) run: the usual cost report plus
+/// Outcome of one pool (or reference) run: the usual cost report plus
 /// the protocol's canonical final answers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadedOutcome {
@@ -70,22 +68,22 @@ pub struct ThreadedOutcome {
 /// enough to amortize the channel hop, short enough that (with the
 /// backend's one-run window) a site never runs far ahead of coordinator
 /// feedback. Public so the bench harness's facade-vs-direct cells use
-/// the same run length as the headline threaded cells.
+/// the same run length as the headline `threaded-batched:` cells.
 pub const FREE_RUN: usize = 128;
 
 /// Target for the *total* items in flight across all sites during
 /// free-running batched ingest. With a one-run window per site, k sites
 /// at [`FREE_RUN`] items each would put `k·128` items in flight — at
 /// k = 256 that is 16% of a 200k stream racing ahead of coordinator
-/// feedback, the stale-threshold flood the threaded runtime's run
-/// window exists to prevent. [`free_run_len`] shortens per-site runs as
+/// feedback, the stale-threshold flood the pool's run window exists to
+/// prevent. [`free_run_len`] shortens per-site runs as
 /// k grows so the aggregate stays near this target.
 pub const FREE_RUN_INFLIGHT: usize = 4096;
 
 /// Per-site run length for free-running batched ingest at k sites:
 /// [`FREE_RUN`] while the aggregate window fits [`FREE_RUN_INFLIGHT`],
 /// shrinking (never below 16) as sites multiply. At the k = 4 of the
-/// headline threaded cells this is exactly [`FREE_RUN`].
+/// headline `threaded-batched:` cells this is exactly [`FREE_RUN`].
 pub fn free_run_len(k: u32) -> usize {
     (FREE_RUN_INFLIGHT / (k.max(1) as usize)).clamp(16, FREE_RUN)
 }
@@ -94,7 +92,7 @@ enum Exec {
     /// Chunked site-at-a-time `feed_batch` schedule (transcript-pinned
     /// on every backend).
     SiteAtATime,
-    /// Free-running ingest (parallel backends; transcript not pinned).
+    /// Free-running ingest (the pool; transcript not pinned).
     Free(ThreadedIngest),
 }
 
@@ -122,7 +120,7 @@ pub fn run_scenario_traced(
     dispatch(scenario, Exec::SiteAtATime, backend, Some(config))
 }
 
-/// Feed the scenario's stream through a parallel backend free-running
+/// Feed the scenario's stream through the pool free-running
 /// (no per-cascade synchronization) and report the final cost and
 /// answers. This is the throughput path the bench harness times.
 pub fn measure_on_backend(
@@ -133,24 +131,11 @@ pub fn measure_on_backend(
     dispatch(scenario, Exec::Free(ingest), backend, None)
 }
 
-/// [`run_scenario_on_backend`] on the threaded backend.
-pub fn run_scenario_threaded(scenario: &Scenario) -> Result<ThreadedOutcome, ScenarioFailure> {
-    run_scenario_on_backend(scenario, BackendKind::Threaded)
-}
-
-/// The deterministic twin of [`run_scenario_threaded`]: same
+/// The deterministic twin of [`run_scenario_on_backend`]: same
 /// construction, same chunked schedule, same answer extraction, driven
 /// through the deterministic backend.
 pub fn run_scenario_reference(scenario: &Scenario) -> Result<ThreadedOutcome, ScenarioFailure> {
     run_scenario_on_backend(scenario, BackendKind::Deterministic)
-}
-
-/// [`measure_on_backend`] on the threaded backend.
-pub fn measure_threaded(
-    scenario: &Scenario,
-    ingest: ThreadedIngest,
-) -> Result<ThreadedOutcome, ScenarioFailure> {
-    measure_on_backend(scenario, ingest, BackendKind::Threaded)
 }
 
 fn dispatch(
@@ -227,7 +212,7 @@ fn dispatch(
                 }
             }
             Exec::Free(ThreadedIngest::Batched) => {
-                // Per chunk, hand every site its run at once so all k
+                // Per chunk, hand every site its run at once so the pool's
                 // workers chew in parallel; the backend's AIMD window
                 // (seeded at this same k-aware run length) bounds total
                 // in-flight items, keeping feedback staleness (and the
@@ -261,9 +246,9 @@ fn dispatch(
     } else {
         Vec::new()
     };
-    // finish() both merges the final meter and surfaces worker death —
-    // a site thread that died after its queue drained must fail the run,
-    // not return partial answers as a success.
+    // finish() both merges the final meter and surfaces site death —
+    // a site that died after its queue drained must fail the run, not
+    // return partial answers as a success.
     let meter = tracker.finish().map_err(|e| fail(e.to_string()))?;
     Ok(ThreadedOutcome {
         report: ScenarioReport {
@@ -312,8 +297,9 @@ mod tests {
 
     #[test]
     fn threaded_matches_reference_for_hh() {
+        // The machine-default pool: one worker per core.
         let s = base(ProtocolSpec::HhExact);
-        let thr = run_scenario_threaded(&s).unwrap();
+        let thr = run_scenario_on_backend(&s, BackendKind::Sharded { workers: None }).unwrap();
         let det = run_scenario_reference(&s).unwrap();
         assert_eq!(thr.answers, det.answers);
         assert_eq!(thr.report.words, det.report.words);
@@ -351,7 +337,7 @@ mod tests {
     #[test]
     fn reference_words_match_measure_cost() {
         // The reference path must be the same transcript `measure_cost`
-        // produces, or comparing threaded runs against the golden meter
+        // produces, or comparing pool runs against the golden meter
         // fixture would be meaningless.
         let s = base(ProtocolSpec::QuantileExact { phi: 0.5 });
         let reference = run_scenario_reference(&s).unwrap();
@@ -362,9 +348,11 @@ mod tests {
 
     #[test]
     fn free_running_ingest_completes_and_answers() {
+        // More workers than sites: every site has a worker of its own.
         let s = base(ProtocolSpec::Counter);
+        let backend = BackendKind::Sharded { workers: Some(16) };
         for ingest in [ThreadedIngest::PerItem, ThreadedIngest::Batched] {
-            let out = measure_threaded(&s, ingest).unwrap();
+            let out = measure_on_backend(&s, ingest, backend).unwrap();
             assert_eq!(out.answers.len(), 1);
             assert!(out.report.words > 0, "{ingest:?} metered nothing");
         }
@@ -374,9 +362,10 @@ mod tests {
     fn free_running_words_stay_within_the_drift_headroom_budget() {
         // The contract the AIMD controller is held to: free-running rows
         // report the 1.5x drift-headroom budget and stay inside it.
+        let backend = BackendKind::Sharded { workers: Some(16) };
         for protocol in [ProtocolSpec::Counter, ProtocolSpec::HhExact] {
             let s = base(protocol);
-            let out = measure_threaded(&s, ThreadedIngest::Batched).unwrap();
+            let out = measure_on_backend(&s, ThreadedIngest::Batched, backend).unwrap();
             let settled = run_scenario_reference(&s).unwrap();
             assert!(
                 out.report.budget_words > settled.report.budget_words,

@@ -1,12 +1,13 @@
 //! Hostile-traffic fault axes: the 27 appended matrix rows (flash
 //! crowds, diurnal drift, key churn, site churn, queue-cap pressure,
 //! stalls, site death, and the combined-pressure band that stacks two
-//! faults per row) run in equivalence mode on all three backends.
+//! faults per row) run in equivalence mode on three backends: the
+//! deterministic cluster, the pool with a worker per site, and the pool
+//! multiplexing sites onto two workers.
 //!
 //! Every row must produce the *identical* final answers and the
-//! *identical* metered words/messages on the Deterministic, Threaded,
-//! and Sharded backends, matching the golden fixture bit-for-bit —
-//! faults included. A kill is an administrative partition injected at a
+//! *identical* metered words/messages on all three, matching the golden
+//! fixture bit-for-bit — faults included. A kill is an administrative partition injected at a
 //! quiescent stream position and rerouted by the static
 //! `FaultPlan::route` map, a stall is pure timing, and a queue cap is a
 //! builder knob, so none of them may perturb the transcript.
@@ -75,7 +76,7 @@ fn hostile_rows_are_equivalent_on_all_three_backends() {
     // Two workers for k ∈ {4, 5}: the sharded pool really multiplexes,
     // so kill/stall handling is exercised across site-run migration.
     let backends = [
-        BackendKind::Threaded,
+        BackendKind::Sharded { workers: Some(16) },
         BackendKind::Sharded { workers: Some(2) },
     ];
     for scenario in &rows {
@@ -111,14 +112,14 @@ fn hostile_rows_pass_differential_checks_on_parallel_backends() {
     // The deterministic Check-mode pass over these rows lives in
     // `matrix.rs` (they are part of `default_matrix()`); here the same
     // oracle checkpoints — post-kill accuracy within 2ε, terminating
-    // settle, word budget with fault headroom — run on the parallel
-    // runtimes.
+    // settle, word budget with fault headroom — run on both pool
+    // shapes.
     let start = Instant::now();
     let rows = apply_matrix_filter(hostile_rows());
     assert!(!rows.is_empty(), "matrix filter matched nothing");
     for scenario in &rows {
         for backend in [
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
         ] {
             let report = run_scenario_on(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
@@ -206,11 +207,11 @@ fn promoted_stall_axis_settles_and_keeps_the_transcript() {
     for scenario in stalled {
         let name = scenario.to_string();
         let reference = run_scenario_reference(scenario).unwrap_or_else(|f| panic!("{f}"));
-        let threaded = run_scenario_on_backend(scenario, BackendKind::Threaded)
+        let pool = run_scenario_on_backend(scenario, BackendKind::Sharded { workers: Some(16) })
             .unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(threaded.answers, reference.answers, "[{name}]");
+        assert_eq!(pool.answers, reference.answers, "[{name}]");
         assert_eq!(
-            (threaded.report.words, threaded.report.messages),
+            (pool.report.words, pool.report.messages),
             (reference.report.words, reference.report.messages),
             "[{name}]"
         );
@@ -232,7 +233,7 @@ fn stall_axis_deadline_times_out_instead_of_hanging() {
     let (mut tracker, _warmup) = build_tracker(
         scenario,
         WarmupPolicy::ProtocolDefault,
-        BackendKind::Threaded,
+        BackendKind::Sharded { workers: Some(16) },
     )
     .unwrap_or_else(|e| panic!("{e}"));
     // A stall two orders of magnitude past the deadline, then one item so

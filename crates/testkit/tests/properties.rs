@@ -1,7 +1,8 @@
 //! Property-based cross-backend equivalence: for arbitrary seeds and
-//! stream shapes — not just the curated matrix rows — the threaded and
-//! sharded runtimes must produce the identical final answers and the
-//! identical metered cost as the deterministic reference. This is the
+//! stream shapes — not just the curated matrix rows — the pool, with a
+//! worker per site and multiplexed, must produce the identical final
+//! answers and the identical metered cost as the deterministic
+//! reference. This is the
 //! randomized companion to the equivalence suites: the matrix pins 77
 //! named rows forever, while this test walks fresh seeds every run
 //! (deterministically, via the offline proptest runner's fixed RNG).
@@ -64,7 +65,7 @@ proptest! {
         let reference = run_scenario_reference(&scenario)
             .map_err(|f| TestCaseError::fail(format!("{f}")))?;
         for backend in [
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
         ] {
             let outcome = run_scenario_on_backend(&scenario, backend)

@@ -6,8 +6,8 @@
 //!    answers, metered words/messages, and the per-kind breakdown are
 //!    byte-identical with tracing on and off, on every row of the
 //!    default matrix (shardable via `DTRACK_MATRIX_FILTER`, like the
-//!    equivalence suites) and on every parallel backend for a stride
-//!    subset.
+//!    equivalence suites) and on the pool, with a worker per site and
+//!    multiplexed, for a stride subset.
 //! 2. **Determinism** — on the deterministic backend the trace stream
 //!    itself is part of the pinned transcript: two traced runs of the
 //!    same seeded `Scenario` produce bit-identical event streams
@@ -56,9 +56,10 @@ fn tracing_is_transparent_on_the_full_default_matrix() {
     }
 }
 
-/// The same transparency contract on every parallel backend, for a
-/// stride subset of the matrix (full coverage lives in the equivalence
-/// suites; this pins that *tracing* perturbs none of them).
+/// The same transparency contract on the pool, with a worker per site
+/// and multiplexed, for a stride subset of the matrix (full coverage
+/// lives in the equivalence suites; this pins that *tracing* perturbs
+/// neither shape).
 #[test]
 fn tracing_is_transparent_on_parallel_backends() {
     let scenarios: Vec<_> = default_matrix().into_iter().step_by(11).collect();
@@ -66,12 +67,8 @@ fn tracing_is_transparent_on_parallel_backends() {
     for scenario in &scenarios {
         let name = scenario.to_string();
         for backend in [
-            BackendKind::Threaded,
+            BackendKind::Sharded { workers: Some(16) },
             BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: true,
-            },
         ] {
             let off = dtrack_testkit::run_scenario_on_backend(scenario, backend)
                 .unwrap_or_else(|f| panic!("{f}"));

@@ -7,8 +7,8 @@
 //! 2. render `Display` strings bit-identical to the legacy canonical
 //!    format (`estimate=…`, `m=…`, `hh(phi=…)=…`, `quantile=…`,
 //!    `q(…)=…`, `total=…`), and
-//! 3. be identical across the deterministic and threaded backends on the
-//!    site-at-a-time schedule.
+//! 3. be identical across the deterministic backend and the
+//!    multi-threaded pool on the site-at-a-time schedule.
 
 use dtrack_core::ExactOracle;
 use dtrack_testkit::registry::{self, WarmupPolicy};
@@ -50,9 +50,12 @@ fn check_scenario(scenario: &Scenario) {
         BackendKind::Deterministic,
     )
     .unwrap_or_else(|e| panic!("[{name}] deterministic build: {e}"));
-    let (mut thr, _) =
-        registry::build_tracker(scenario, WarmupPolicy::Differential, BackendKind::Threaded)
-            .unwrap_or_else(|e| panic!("[{name}] threaded build: {e}"));
+    let (mut pool, _) = registry::build_tracker(
+        scenario,
+        WarmupPolicy::Differential,
+        BackendKind::Sharded { workers: Some(16) },
+    )
+    .unwrap_or_else(|e| panic!("[{name}] pool build: {e}"));
     let check = registry::profile(scenario.protocol).check;
 
     let mut oracle = ExactOracle::new();
@@ -68,23 +71,23 @@ fn check_scenario(scenario: &Scenario) {
         }
         det.feed_batch(chunk)
             .unwrap_or_else(|e| panic!("[{name}] deterministic feed: {e}"));
-        thr.feed_batch(chunk)
-            .unwrap_or_else(|e| panic!("[{name}] threaded feed: {e}"));
+        pool.feed_batch(chunk)
+            .unwrap_or_else(|e| panic!("[{name}] pool feed: {e}"));
         fed = stop;
 
         // (1) ε-agreement with the oracle, via typed queries, on both
         // backends.
         check(&mut det, &oracle, scenario)
             .unwrap_or_else(|e| panic!("[{name}] deterministic check at {fed}: {e}"));
-        check(&mut thr, &oracle, scenario)
-            .unwrap_or_else(|e| panic!("[{name}] threaded check at {fed}: {e}"));
+        check(&mut pool, &oracle, scenario)
+            .unwrap_or_else(|e| panic!("[{name}] pool check at {fed}: {e}"));
 
         // (2) + (3) canonical answers: identical across backends, and
         // Display equals the legacy canonical string.
         let det_answers = det.answers().unwrap_or_else(|e| panic!("[{name}] {e}"));
-        let thr_answers = thr.answers().unwrap_or_else(|e| panic!("[{name}] {e}"));
+        let pool_answers = pool.answers().unwrap_or_else(|e| panic!("[{name}] {e}"));
         assert_eq!(
-            det_answers, thr_answers,
+            det_answers, pool_answers,
             "[{name}] typed answers diverge between backends at item {fed}"
         );
         for answer in &det_answers {
@@ -98,7 +101,7 @@ fn check_scenario(scenario: &Scenario) {
     }
     assert!(checkpoints >= 2, "[{name}] too few checkpoints");
     det.finish().unwrap_or_else(|e| panic!("[{name}] {e}"));
-    thr.finish().unwrap_or_else(|e| panic!("[{name}] {e}"));
+    pool.finish().unwrap_or_else(|e| panic!("[{name}] {e}"));
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! - **Deterministic where the runtime is.** Event clocks come from a
 //!   single `fetch_add` counter. On the single-threaded deterministic
 //!   backend the resulting stream is bit-identical for a given scenario
-//!   seed; on the parallel backends clocks are racy by nature and only
+//!   seed; on the parallel pool clocks are racy by nature and only
 //!   per-site subsequences are meaningful.
 //! - **Bounded.** Rings overwrite oldest on overflow and count what they
 //!   dropped ([`TraceSummary::dropped`]); a runaway scenario can never
@@ -22,7 +22,7 @@
 //! Two sinks consume the merged stream: the Chrome `trace_event` JSON
 //! exporter ([`export_chrome`] / [`write_chrome_file`]) and the in-memory
 //! [`TraceSummary`] (per-kind counts plus per-phase wall-time histograms
-//! on the timed backends). [`canonical_kind_order`] is the one label
+//! on the parallel pool). [`canonical_kind_order`] is the one label
 //! ordering both the summary and `MessageMeter::report()` sort with, so
 //! meter and trace breakdowns can never disagree on label order.
 
@@ -149,7 +149,7 @@ pub enum TraceEventKind {
     },
     /// A settle (quiescence wait) began.
     SettleBegin,
-    /// A settle completed. `micros` is wall time on the timed backends
+    /// A settle completed. `micros` is wall time on the parallel pool
     /// and always 0 on the deterministic backend, keeping its stream
     /// bit-identical.
     SettleEnd {
@@ -160,11 +160,6 @@ pub enum TraceEventKind {
     QueueDepth {
         /// Backlog depth in items.
         depth: u64,
-    },
-    /// A message crossed the wire codec as a framed byte sequence.
-    WireFrame {
-        /// Encoded frame length in bytes.
-        bytes: u64,
     },
 }
 
@@ -184,7 +179,6 @@ impl TraceEventKind {
             TraceEventKind::SettleBegin => "settle-begin",
             TraceEventKind::SettleEnd { .. } => "settle-end",
             TraceEventKind::QueueDepth { .. } => "queue-depth",
-            TraceEventKind::WireFrame { .. } => "wire-frame",
         }
     }
 }
@@ -539,7 +533,6 @@ fn chrome_record(event: &TraceEvent, out: &mut String) {
         TraceEventKind::SettleBegin => {}
         TraceEventKind::SettleEnd { micros } => args = format!("\"micros\":{micros}"),
         TraceEventKind::QueueDepth { depth } => args = format!("\"depth\":{depth}"),
-        TraceEventKind::WireFrame { bytes } => args = format!("\"bytes\":{bytes}"),
     }
     let mut escaped = String::new();
     json_escape(&name, &mut escaped);
@@ -683,7 +676,6 @@ mod tests {
             kind: "Start",
             fanout: 64,
         });
-        t.record(TraceEventKind::WireFrame { bytes: 40 });
         let mut buf = Vec::new();
         export_chrome(&t.snapshot(), &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();

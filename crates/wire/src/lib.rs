@@ -2,10 +2,10 @@
 //!
 //! Every site↔coordinator message in the simulator is an in-memory Rust
 //! value today. This crate defines the wire shape those values would take
-//! across a process or network boundary, so the async backend can prove —
-//! byte-for-byte, under the golden equivalence matrix — that serialization
-//! does not perturb a single metered word. When sites and coordinator move
-//! to separate processes, the transport swaps; the codec stays.
+//! across a process or network boundary; dtrack-testkit's
+//! `wire_roundtrip.rs` proptests decode∘encode = id for every protocol
+//! message kind. When sites and coordinator move to separate processes,
+//! the transport swaps; the codec stays.
 //!
 //! # Frame format (version 1)
 //!
@@ -426,8 +426,8 @@ pub fn decode<U: WireMessage, D: WireMessage>(frame: &[u8]) -> Result<Frame<U, D
 
 /// An in-memory loopback transport: every message is encoded to a full
 /// frame and decoded back before delivery, with per-direction frame and
-/// byte counters. This is the stand-in for a socket; the async backend
-/// routes all site↔coordinator traffic through it when wire mode is on.
+/// byte counters. This is the stand-in for a socket; no runtime routes
+/// traffic through it today.
 #[derive(Debug, Default)]
 pub struct Loopback {
     frames_up: AtomicU64,

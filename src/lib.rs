@@ -12,7 +12,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`core`] | the paper's protocols: counter, heavy hitters (§2), single quantile (§3), all quantiles (§4) |
-//! | [`sim`] | the distributed streaming model: sites, coordinator, metered channels, deterministic + threaded runtimes |
+//! | [`sim`] | the distributed streaming model: sites, coordinator, metered channels, a deterministic runtime and a work-stealing parallel pool |
 //! | [`sketch`] | local summaries: SpaceSaving, Misra–Gries, Greenwald–Khanna, order-statistic stores, mergeable equi-depth summaries |
 //! | [`baseline`] | prior art the paper improves on: CGMR'05 summary shipping, forward-all, periodic polling |
 //! | [`adversary`] | the lower-bound constructions of Lemma 2.2/2.3 and §3.2 |
@@ -24,8 +24,8 @@
 //! use dtrack::prelude::*;
 //!
 //! // 4 sites (embedded in the config), ε = 0.05; track heavy hitters of
-//! // the union stream. Swap `.backend(BackendKind::Threaded)` in to run
-//! // the same protocol on OS threads.
+//! // the union stream. Swap `.backend(BackendKind::Sharded { workers: None })`
+//! // in to run the same protocol on a pool of OS threads.
 //! let config = HhConfig::new(4, 0.05).unwrap();
 //! let mut tracker = Tracker::builder()
 //!     .protocol(HhExactProtocol::new(config))

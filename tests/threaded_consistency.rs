@@ -1,14 +1,24 @@
-//! The deterministic runner and the threaded runtime must produce
+//! The deterministic runner and the multi-pool pool must produce
 //! identical answers and identical communication on identical
 //! one-item-at-a-time schedules (feeding then settling serializes the
-//! threaded runtime into the same global order).
+//! pool into the same global order). The `threaded_*` tests give every
+//! site a pool worker of its own; the `sharded_*` tests multiplex many
+//! sites onto a few workers.
 
 use dtrack::core::hh::{HhConfig, HhCoordinator, HhSite};
 use dtrack::core::quantile::{QuantileCoordinator, QuantileSite};
 use dtrack::prelude::*;
-use dtrack::sim::threaded::ThreadedCluster;
+use dtrack::sim::sharded::{RunTicket, ShardedCluster, ShardedConfig};
 use dtrack::workload::{RoundRobin, Stream, Zipf};
 use dtrack_testkit::{AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario};
+
+/// One pool worker per site.
+fn worker_per_site(k: u32) -> ShardedConfig {
+    ShardedConfig {
+        workers: Some(k as usize),
+        ..ShardedConfig::default()
+    }
+}
 
 #[test]
 fn threaded_matches_deterministic_serialized() {
@@ -26,21 +36,22 @@ fn threaded_matches_deterministic_serialized() {
     let det_hh = det.coordinator().heavy_hitters(0.1).unwrap();
     let det_m = det.coordinator().global_count();
 
-    // Threaded run, serialized by settling after every item.
+    // Pool run, serialized by settling after every item.
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let pool =
+        ShardedCluster::spawn_with(sites, HhCoordinator::new(config), worker_per_site(k)).unwrap();
     for &(site, item) in &stream {
-        threaded.feed(site, item).unwrap();
-        threaded.settle();
+        pool.feed(site, item).unwrap();
+        pool.settle();
     }
-    let thr_hh = threaded
+    let pool_hh = pool
         .with_coordinator(|c| c.heavy_hitters(0.1).unwrap())
         .unwrap();
-    let thr_m = threaded.with_coordinator(|c| c.global_count()).unwrap();
-    let (_, _, meter) = threaded.shutdown().unwrap();
+    let pool_m = pool.with_coordinator(|c| c.global_count()).unwrap();
+    let (_, _, meter) = pool.shutdown().unwrap();
 
-    assert_eq!(det_hh, thr_hh, "answers diverge");
-    assert_eq!(det_m, thr_m, "tracked counts diverge");
+    assert_eq!(det_hh, pool_hh, "answers diverge");
+    assert_eq!(det_m, pool_m, "tracked counts diverge");
     assert_eq!(det_words, meter.total_words(), "word counts diverge");
     assert_eq!(det_msgs, meter.total_messages(), "message counts diverge");
 }
@@ -91,26 +102,28 @@ fn threaded_matches_deterministic_across_seeded_workloads() {
         det.feed_stream(stream.iter().copied()).unwrap();
 
         let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-        let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+        let pool =
+            ShardedCluster::spawn_with(sites, HhCoordinator::new(config), worker_per_site(k))
+                .unwrap();
         for &(site, item) in &stream {
-            threaded.feed(site, item).unwrap();
-            threaded.settle();
+            pool.feed(site, item).unwrap();
+            pool.settle();
         }
-        let thr_hh = threaded
+        let pool_hh = pool
             .with_coordinator(|c| c.heavy_hitters(0.15).unwrap())
             .unwrap();
-        let thr_m = threaded.with_coordinator(|c| c.global_count()).unwrap();
-        let (_, _, meter) = threaded.shutdown().unwrap();
+        let pool_m = pool.with_coordinator(|c| c.global_count()).unwrap();
+        let (_, _, meter) = pool.shutdown().unwrap();
 
         let name = scenario.to_string();
         assert_eq!(
             det.coordinator().heavy_hitters(0.15).unwrap(),
-            thr_hh,
+            pool_hh,
             "[{name}] answers diverge"
         );
         assert_eq!(
             det.coordinator().global_count(),
-            thr_m,
+            pool_m,
             "[{name}] tracked counts diverge"
         );
         assert_eq!(
@@ -153,17 +166,23 @@ fn threaded_matches_deterministic_for_quantile() {
     det.feed_stream(stream.iter().copied()).unwrap();
 
     let sites: Vec<_> = (0..k).map(|_| QuantileSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, QuantileCoordinator::new(config)).unwrap();
+    let pool =
+        ShardedCluster::spawn_with(sites, QuantileCoordinator::new(config), worker_per_site(k))
+            .unwrap();
     for &(site, item) in &stream {
-        threaded.feed(site, item).unwrap();
-        threaded.settle();
+        pool.feed(site, item).unwrap();
+        pool.settle();
     }
-    let thr_q = threaded.with_coordinator(|c| c.quantile()).unwrap();
-    let thr_n = threaded.with_coordinator(|c| c.n_estimate()).unwrap();
-    let (_, _, meter) = threaded.shutdown().unwrap();
+    let pool_q = pool.with_coordinator(|c| c.quantile()).unwrap();
+    let pool_n = pool.with_coordinator(|c| c.n_estimate()).unwrap();
+    let (_, _, meter) = pool.shutdown().unwrap();
 
-    assert_eq!(det.coordinator().quantile(), thr_q, "medians diverge");
-    assert_eq!(det.coordinator().n_estimate(), thr_n, "n estimates diverge");
+    assert_eq!(det.coordinator().quantile(), pool_q, "medians diverge");
+    assert_eq!(
+        det.coordinator().n_estimate(),
+        pool_n,
+        "n estimates diverge"
+    );
     assert_eq!(det.meter().total_words(), meter.total_words());
     assert_eq!(det.meter().total_messages(), meter.total_messages());
 }
@@ -181,20 +200,21 @@ fn threaded_matches_deterministic_for_counter() {
     det.feed_stream(stream.iter().copied()).unwrap();
 
     let sites: Vec<_> = (0..k).map(|_| CounterSite::new(epsilon).unwrap()).collect();
-    let threaded = ThreadedCluster::spawn(sites, CounterCoordinator::new()).unwrap();
+    let pool =
+        ShardedCluster::spawn_with(sites, CounterCoordinator::new(), worker_per_site(k)).unwrap();
     for &(site, item) in &stream {
-        threaded.feed(site, item).unwrap();
-        threaded.settle();
+        pool.feed(site, item).unwrap();
+        pool.settle();
     }
-    let thr_est = threaded.with_coordinator(|c| c.estimate()).unwrap();
-    let (_, _, meter) = threaded.shutdown().unwrap();
+    let pool_est = pool.with_coordinator(|c| c.estimate()).unwrap();
+    let (_, _, meter) = pool.shutdown().unwrap();
 
-    assert_eq!(det.coordinator().estimate(), thr_est, "estimates diverge");
+    assert_eq!(det.coordinator().estimate(), pool_est, "estimates diverge");
     assert_eq!(det.meter().total_words(), meter.total_words());
     assert_eq!(det.meter().total_messages(), meter.total_messages());
 }
 
-/// `ThreadedCluster::feed_batch` (site-at-a-time, internally settled per
+/// `ShardedCluster::feed_batch` (site-at-a-time, internally settled per
 /// quiescent run) must reproduce the deterministic `Cluster::feed_batch`
 /// transcript without the caller settling per item — this is the fast
 /// transcript-identical path the testkit equivalence suite drives over
@@ -211,10 +231,11 @@ fn threaded_feed_batch_matches_deterministic() {
     det.feed_batch(&stream).unwrap();
 
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
-    threaded.feed_batch(&stream).unwrap();
-    threaded.settle();
-    let (coord, _, meter) = threaded.shutdown().unwrap();
+    let pool =
+        ShardedCluster::spawn_with(sites, HhCoordinator::new(config), worker_per_site(k)).unwrap();
+    pool.feed_batch(&stream).unwrap();
+    pool.settle();
+    let (coord, _, meter) = pool.shutdown().unwrap();
 
     assert_eq!(
         det.coordinator().heavy_hitters(0.1).unwrap(),
@@ -241,15 +262,15 @@ fn threaded_parallel_ingest_still_correct() {
     let phi = 0.2;
     let config = HhConfig::new(k, epsilon).unwrap();
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let pool =
+        ShardedCluster::spawn_with(sites, HhCoordinator::new(config), worker_per_site(k)).unwrap();
 
     let stream: Vec<(SiteId, u64)> =
         Stream::new(Zipf::new(1 << 14, 1.5, 9), RoundRobin::new(k), 40_000).collect();
     let mut oracle = ExactOracle::new();
     // One-run window per site so no site races unboundedly far ahead of
     // coordinator feedback (see `ingest_run` docs).
-    let mut tickets: Vec<Option<dtrack::sim::threaded::RunTicket>> =
-        (0..k as usize).map(|_| None).collect();
+    let mut tickets: Vec<Option<RunTicket>> = (0..k as usize).map(|_| None).collect();
     let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k as usize];
     for part in stream.chunks(512) {
         for &(site, item) in part {
@@ -262,8 +283,7 @@ fn threaded_parallel_ingest_still_correct() {
                     t.wait().unwrap();
                 }
                 tickets[i] = Some(
-                    threaded
-                        .ingest_run(SiteId(i as u32), std::mem::take(items))
+                    pool.ingest_run(SiteId(i as u32), std::mem::take(items))
                         .unwrap(),
                 );
             }
@@ -272,14 +292,14 @@ fn threaded_parallel_ingest_still_correct() {
     for t in tickets.into_iter().flatten() {
         t.wait().unwrap();
     }
-    threaded.settle();
-    let reported = threaded
+    pool.settle();
+    let reported = pool
         .with_coordinator(move |c| c.heavy_hitters(phi).unwrap())
         .unwrap();
     if let Some(v) = oracle.check_heavy_hitters(&reported, phi, 2.0 * epsilon) {
         panic!("parallel batched ingest violated the guarantee: {v}");
     }
-    threaded.shutdown().unwrap();
+    pool.shutdown().unwrap();
 }
 
 /// The sharded work-stealing pool at the integration level: far more
@@ -289,7 +309,6 @@ fn threaded_parallel_ingest_still_correct() {
 /// order no matter which worker picks them up.
 #[test]
 fn sharded_feed_batch_matches_deterministic_at_high_k() {
-    use dtrack::sim::sharded::{ShardedCluster, ShardedConfig};
     let k = 24;
     let epsilon = 0.1;
     let config = HhConfig::new(k, epsilon).unwrap();
@@ -329,8 +348,8 @@ fn sharded_feed_batch_matches_deterministic_at_high_k() {
 
 /// Free-running parallel ingest on the sharded pool (k ≫ workers): the
 /// ε-guarantee must hold at quiescence with the same 2ε slack as the
-/// threaded concurrent tests — through the `Tracker` facade, which owns
-/// the one-run-per-site ticket window.
+/// worker-per-site concurrent tests — through the `Tracker` facade, which
+/// owns the one-run-per-site ticket window.
 #[test]
 fn sharded_parallel_ingest_still_correct_at_high_k() {
     let k = 32u32;
@@ -382,23 +401,24 @@ fn threaded_concurrent_feeding_still_correct() {
     let phi = 0.2;
     let config = HhConfig::new(k, epsilon).unwrap();
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let pool =
+        ShardedCluster::spawn_with(sites, HhCoordinator::new(config), worker_per_site(k)).unwrap();
 
     let stream: Vec<(SiteId, u64)> =
         Stream::new(Zipf::new(1 << 14, 1.5, 9), RoundRobin::new(k), 40_000).collect();
     let mut oracle = ExactOracle::new();
     for &(site, item) in &stream {
         oracle.observe(item);
-        threaded.feed(site, item).unwrap();
+        pool.feed(site, item).unwrap();
     }
-    threaded.settle();
-    let reported = threaded
+    pool.settle();
+    let reported = pool
         .with_coordinator(move |c| c.heavy_hitters(phi).unwrap())
         .unwrap();
     // Concurrency can reorder deltas between sites, so allow the full 2ε
     // slack rather than the serialized ε.
     if let Some(v) = oracle.check_heavy_hitters(&reported, phi, 2.0 * epsilon) {
-        panic!("threaded run violated the guarantee: {v}");
+        panic!("worker-per-site run violated the guarantee: {v}");
     }
-    threaded.shutdown().unwrap();
+    pool.shutdown().unwrap();
 }
