@@ -118,6 +118,22 @@ fn bench_queries(c: &mut Criterion) {
     c.bench_function("allq_rank_query", |b| {
         b.iter(|| coord_snapshot.rank_lt(black_box(1 << 29)))
     });
+
+    // The pool-hh-k256 benchmark workload's stream shape, settled: k = 256,
+    // ε = 0.1, 2^18 round-robin items of Zipf(1.2) over 2^20, which leaves
+    // ~3.4k tracked items at the coordinator.
+    let config = HhConfig::new(256, 0.1).unwrap();
+    let mut cluster = dtrack_core::hh::sketched_cluster(config).unwrap();
+    let mut gen = Zipf::new(1 << 20, 1.2, 1);
+    for i in 0..1u64 << 18 {
+        cluster
+            .feed(SiteId((i % 256) as u32), gen.next_item())
+            .unwrap();
+    }
+    let hh_coord = cluster.into_parts().0;
+    c.bench_function("hh_heavy_hitters_query", |b| {
+        b.iter(|| hh_coord.heavy_hitters(black_box(0.25)).unwrap())
+    });
 }
 
 criterion_group!(

@@ -40,7 +40,7 @@
 //! O(1/ε) words per site, with the sketch error folded into the
 //! classification slack (use `ε_sketch = ε/6`, see DESIGN.md).
 
-use dtrack_hash::FxHashMap;
+use dtrack_hash::{FxHashMap, FxHashSet};
 use dtrack_sim::{
     Answer, Coordinator, MessageSize, Outbox, Protocol, Query, QueryError, Site, SiteId,
     HH_PROBE_PHIS,
@@ -358,6 +358,13 @@ pub struct HhCoordinator {
     m: u64,
     /// `C.m_x` for every item ever reported.
     counts: FxHashMap<u64, u64>,
+    /// A superset of `{x : C.m_x / C.m ≥ ε/2}`, the only items a query
+    /// with φ ≥ ε can report. See DESIGN.md ("Heavy-hitter reads scan an
+    /// ε/2-candidate set").
+    hot: FxHashSet<u64>,
+    /// `hot.len()` above which `hot` is pruned: twice what the last prune
+    /// or rebuild kept, and at least ⌈4/ε⌉.
+    prune_at: usize,
     all_signals: u32,
     sync: Option<KCollector<u64>>,
     resyncs: u64,
@@ -371,6 +378,8 @@ impl HhCoordinator {
             phase: Phase::Warmup,
             m: 0,
             counts: FxHashMap::default(),
+            hot: FxHashSet::default(),
+            prune_at: prune_floor(config.epsilon),
             all_signals: 0,
             sync: None,
             resyncs: 0,
@@ -429,17 +438,73 @@ impl HhCoordinator {
 
     /// The tracked set of φ-heavy hitters, sorted. Any φ with
     /// `ε <= φ <= 1` is valid for a single tracker.
+    ///
+    /// For φ ≥ ε only the O(1/ε) members of the ε/2-candidate set are
+    /// classified; below ε every tracked item is. Both give exactly the
+    /// items [`Self::is_heavy`] accepts.
     pub fn heavy_hitters(&self, phi: f64) -> Result<Vec<u64>, CoreError> {
         check_phi(phi)?;
-        let mut out: Vec<u64> = self
-            .counts
-            .keys()
-            .copied()
-            .filter(|&x| self.is_heavy(x, phi))
-            .collect();
+        let heavy = |x: &u64| self.is_heavy(*x, phi);
+        let mut out: Vec<u64> = if phi >= self.config.epsilon {
+            self.hot.iter().copied().filter(heavy).collect()
+        } else {
+            self.counts.keys().copied().filter(heavy).collect()
+        };
         out.sort_unstable();
         Ok(out)
     }
+
+    /// `C.m_x += delta`. Admits `x` to the candidate set if it now holds
+    /// ε/2 of C.m, and prunes the set once it has doubled since the last
+    /// prune.
+    fn add_count(&mut self, x: u64, delta: u64) {
+        let (m, epsilon) = (self.m, self.config.epsilon);
+        let c = self.counts.entry(x).or_insert(0);
+        *c += delta;
+        if at_least_half_epsilon(*c, m, epsilon)
+            && self.hot.insert(x)
+            && self.hot.len() > self.prune_at
+        {
+            let counts = &self.counts;
+            self.hot.retain(|x| {
+                counts
+                    .get(x)
+                    .is_some_and(|&c| at_least_half_epsilon(c, m, epsilon))
+            });
+            self.reset_prune_at();
+        }
+    }
+
+    /// Rebuild the candidate set from every tracked count. A lower C.m
+    /// raises every ratio, so members the set dropped may qualify again.
+    fn rebuild_hot(&mut self) {
+        let (m, epsilon) = (self.m, self.config.epsilon);
+        self.hot.clear();
+        self.hot.extend(
+            self.counts
+                .iter()
+                .filter(|&(_, &c)| at_least_half_epsilon(c, m, epsilon))
+                .map(|(&x, _)| x),
+        );
+        self.reset_prune_at();
+    }
+
+    /// Prune next once `hot` has doubled from its current size, or has
+    /// passed ⌈4/ε⌉, whichever is larger.
+    fn reset_prune_at(&mut self) {
+        self.prune_at = (2 * self.hot.len()).max(prune_floor(self.config.epsilon));
+    }
+}
+
+/// `c / m ≥ ε/2`, computed as [`HhCoordinator::is_heavy`] computes the
+/// ratio, so every item it accepts for a φ ≥ ε passes this too.
+fn at_least_half_epsilon(c: u64, m: u64, epsilon: f64) -> bool {
+    c as f64 / m as f64 >= epsilon / 2.0
+}
+
+/// The smallest size at which the candidate set is pruned: ⌈4/ε⌉.
+fn prune_floor(epsilon: f64) -> usize {
+    (4.0 / epsilon).ceil() as usize
 }
 
 impl Coordinator for HhCoordinator {
@@ -449,7 +514,7 @@ impl Coordinator for HhCoordinator {
     fn on_message(&mut self, from: SiteId, msg: HhUp, out: &mut Outbox<HhDown>) {
         match msg {
             HhUp::Raw { item } => {
-                // Under the threaded runtime a Raw can arrive just after
+                // On the free-running pool a Raw can arrive just after
                 // warm-up ended (sent before the site received Start).
                 // Counting it exactly is correct in either phase: the site
                 // marked it reported, so it appears nowhere else. Only the
@@ -460,7 +525,7 @@ impl Coordinator for HhCoordinator {
                 // messages (free-running ingest can have a whole window
                 // per site in flight at the transition).
                 self.m += 1;
-                *self.counts.entry(item).or_insert(0) += 1;
+                self.add_count(item, 1);
                 if self.phase == Phase::Warmup && self.m >= self.config.warmup_target {
                     self.phase = Phase::Tracking;
                     out.broadcast(HhDown::Start { m: self.m });
@@ -476,9 +541,7 @@ impl Coordinator for HhCoordinator {
                     }
                 }
             }
-            HhUp::ItemSignal { item, delta } => {
-                *self.counts.entry(item).or_insert(0) += delta;
-            }
+            HhUp::ItemSignal { item, delta } => self.add_count(item, delta),
             HhUp::CountReply { local } => {
                 let complete = match self.sync.as_mut() {
                     Some(c) => c.put(from.index(), local),
@@ -486,7 +549,14 @@ impl Coordinator for HhCoordinator {
                 };
                 if complete {
                     let replies = self.sync.take().expect("sync in progress").take();
+                    let before = self.m;
                     self.m = replies.iter().sum();
+                    // C.m falls only on free-running schedules: a site's
+                    // AllSignals for items taken after its CountReply can
+                    // land before the re-sync completes.
+                    if self.m < before {
+                        self.rebuild_hot();
+                    }
                     self.all_signals = 0;
                     self.resyncs += 1;
                     out.broadcast(HhDown::NewCount { m: self.m });
@@ -519,10 +589,9 @@ fn hh_query(label: &'static str, c: &HhCoordinator, query: Query) -> Result<Answ
     match query {
         Query::Count => Ok(Answer::StreamLength(c.global_count())),
         Query::HeavyHitters { phi } => {
-            let mut items = c
+            let items = c
                 .heavy_hitters(phi)
                 .map_err(|e| QueryError::Protocol(e.to_string()))?;
-            items.sort_unstable();
             Ok(Answer::HeavyHitters { phi, items })
         }
         Query::Frequency { x } => Ok(Answer::Frequency {
@@ -542,10 +611,9 @@ fn hh_answers(epsilon: f64, c: &HhCoordinator) -> Result<Vec<Answer>, QueryError
     let mut out = vec![Answer::StreamLength(c.global_count())];
     for phi in HH_PROBE_PHIS {
         if phi > epsilon {
-            let mut items = c
+            let items = c
                 .heavy_hitters(phi)
                 .map_err(|e| QueryError::Protocol(e.to_string()))?;
-            items.sort_unstable();
             out.push(Answer::HeavyHitters { phi, items });
         }
     }
@@ -842,6 +910,136 @@ mod tests {
         let coord = HhCoordinator::new(config);
         assert!(coord.heavy_hitters(1.5).is_err());
         assert!(coord.heavy_hitters(0.5).unwrap().is_empty());
+    }
+
+    /// Every φ gets the answer of a brute-force `is_heavy` filter over all
+    /// tracked items, whether it is read from the ε/2-candidate set
+    /// (φ ≥ ε) or from the full scan (φ < ε).
+    #[test]
+    fn candidate_set_answers_match_a_full_scan() {
+        fn full_scan(c: &HhCoordinator, phi: f64) -> Vec<u64> {
+            let mut out: Vec<u64> = c
+                .counts
+                .keys()
+                .copied()
+                .filter(|&x| c.is_heavy(x, phi))
+                .collect();
+            out.sort_unstable();
+            out
+        }
+        fn check(c: &HhCoordinator, epsilon: f64, fed: usize) {
+            for phi in [
+                0.0,
+                0.01,
+                epsilon / 2.0,
+                0.0999,
+                epsilon,
+                0.2,
+                0.25,
+                0.5,
+                1.0,
+            ] {
+                assert_eq!(
+                    c.heavy_hitters(phi).unwrap(),
+                    full_scan(c, phi),
+                    "φ = {phi} after {fed} items"
+                );
+            }
+        }
+        let k = 8;
+        let epsilon = 0.1;
+        let config = HhConfig::new(k, epsilon).unwrap();
+        for seed in [3, 17, 101] {
+            let mut exact = exact_cluster(config).unwrap();
+            let mut sketched = sketched_cluster(config).unwrap();
+            for (i, x) in skewed_stream(10_000, seed).into_iter().enumerate() {
+                // After 2000 items two new items take half the stream, so
+                // they enter the set through item signals, not raw items.
+                let x = if i >= 2_000 && x < 8 { 20 + x % 2 } else { x };
+                let site = SiteId((i % k as usize) as u32);
+                exact.feed(site, x).unwrap();
+                sketched.feed(site, x).unwrap();
+                // Checkpoints start inside warm-up (80 items here).
+                if i.is_multiple_of(41) {
+                    check(exact.coordinator(), epsilon, i + 1);
+                    check(sketched.coordinator(), epsilon, i + 1);
+                }
+            }
+        }
+    }
+
+    /// A completed re-sync that lowers C.m raises every ratio, so the
+    /// candidate set must be rebuilt: item 7 becomes 0.2-heavy only
+    /// because C.m falls from 1001 to 200.
+    #[test]
+    fn resync_that_lowers_the_count_rebuilds_the_candidate_set() {
+        let config = HhConfig::new(2, 0.1).unwrap().with_warmup_target(10);
+        let mut coord = HhCoordinator::new(config);
+        let mut out = Outbox::new();
+        for item in 100..110 {
+            coord.on_message(SiteId(0), HhUp::Raw { item }, &mut out);
+        }
+        assert!(!coord.in_warmup());
+        coord.on_message(SiteId(0), HhUp::AllSignal { delta: 990 }, &mut out);
+        coord.on_message(SiteId(1), HhUp::ItemSignal { item: 7, delta: 40 }, &mut out);
+        // The second all-signal starts the re-sync (resync_after = k = 2).
+        coord.on_message(SiteId(1), HhUp::AllSignal { delta: 1 }, &mut out);
+        assert_eq!(coord.global_count(), 1001);
+        assert!(coord.heavy_hitters(0.2).unwrap().is_empty());
+        for site in [SiteId(0), SiteId(1)] {
+            coord.on_message(site, HhUp::CountReply { local: 100 }, &mut out);
+        }
+        assert_eq!((coord.global_count(), coord.resyncs()), (200, 1));
+        assert_eq!(coord.heavy_hitters(0.2).unwrap(), vec![7]);
+    }
+
+    /// Heavy items that fade drop out of the candidate set: it stays within
+    /// max(⌈4/ε⌉, 2⌊2/(ε(1 − ε/3))⌋) members (DESIGN.md) while more items
+    /// than that pass through it, and it always holds every item at or
+    /// above ε/2.
+    #[test]
+    fn candidate_set_stays_bounded_as_heavy_items_fade() {
+        let k = 4;
+        let epsilon = 0.1;
+        let bound =
+            prune_floor(epsilon).max(2 * (2.0 / (epsilon * (1.0 - epsilon / 3.0))) as usize);
+        let mut cluster = exact_cluster(HhConfig::new(k, epsilon).unwrap()).unwrap();
+        let mut ever_hot = FxHashSet::default();
+        let mut st = 11;
+        let mut fed = 0usize;
+        // Phase p doubles the stream so far; six fresh items take 16% of
+        // it each, so each phase's items cross ε/2 and fade in the next.
+        for phase in 0..9u64 {
+            for _ in 0..(256usize << phase) {
+                let r = xorshift(&mut st);
+                let x = if r.is_multiple_of(25) {
+                    1_000_000 + (r >> 8) % 1000
+                } else {
+                    1000 * (phase + 1) + (r >> 8) % 6
+                };
+                cluster.feed(SiteId((fed % k as usize) as u32), x).unwrap();
+                fed += 1;
+                let c = cluster.coordinator();
+                assert!(
+                    c.hot.len() <= bound,
+                    "{} candidates after {fed} items",
+                    c.hot.len()
+                );
+                ever_hot.extend(c.hot.iter().copied());
+                if fed.is_multiple_of(1024) {
+                    for (&x, &cx) in &c.counts {
+                        if at_least_half_epsilon(cx, c.m, epsilon) {
+                            assert!(c.hot.contains(&x), "{x} missing after {fed} items");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            ever_hot.len() > bound,
+            "only {} items ever entered the set; the stream never forced a prune",
+            ever_hot.len()
+        );
     }
 
     #[test]

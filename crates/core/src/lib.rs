@@ -21,8 +21,8 @@
 //!   bound when ε ≫ 1/k.
 //!
 //! Every protocol is a pair of [`dtrack_sim::Site`] / [`dtrack_sim::Coordinator`]
-//! state machines and can run under either the deterministic or the
-//! threaded runtime. Sites are generic over their local store
+//! state machines and can run on either the deterministic backend or the
+//! work-stealing pool. Sites are generic over their local store
 //! ([`dtrack_sketch::FreqStore`] / [`dtrack_sketch::OrderStore`]), giving both the
 //! exact-state protocol of the paper's main exposition and the small-space
 //! variants of the "Implementing with small space" paragraphs.

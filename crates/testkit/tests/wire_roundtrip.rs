@@ -1,19 +1,18 @@
 //! Wire-codec properties over the real protocol message vocabulary.
 //!
-//! The async backend's `wire: true` mode proves, via the golden matrix,
-//! that framing cannot perturb a metered word — but that proof only
-//! exercises the values the protocols happen to produce. This suite pins
-//! the codec's two contracts over *arbitrary* values:
+//! No runtime routes messages through the codec today (DESIGN.md, "The
+//! wire codec"), so this suite is what keeps it ready for a network
+//! transport. It pins the codec's two contracts over *arbitrary* values:
 //!
 //! 1. **Roundtrip identity**: `decode(encode(x)) == x` for every message
 //!    kind the workspace puts on the wire, in both frame directions and
-//!    for both unicast and broadcast routing. This is the property the
-//!    run-equivalence argument leans on (`WireLink` forwards the decoded
-//!    value, so identity ⇒ unchanged transcript).
+//!    for both unicast and broadcast routing. A transport that forwards
+//!    the decoded value therefore delivers the very message the protocol
+//!    sent, so it cannot move a transcript.
 //! 2. **Totality**: truncated, corrupted, or outright garbage bytes decode
 //!    to a typed [`DecodeError`] — never a panic, never an
-//!    overallocation. A transport can therefore surface any fault as
-//!    `SimError::Decode` and keep the cluster alive for teardown.
+//!    overallocation. A transport can therefore surface any fault as an
+//!    error and keep the cluster alive for teardown.
 //!
 //! Like `properties.rs`, this runs under the offline proptest runner's
 //! fixed RNG: fresh values every run, deterministically.

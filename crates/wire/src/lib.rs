@@ -29,8 +29,6 @@
 //! bytes actually remaining in the frame before any allocation, so a
 //! corrupt length prefix cannot trigger an OOM.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Frame magic: the two bytes `b"DW"`.
 pub const MAGIC: [u8; 2] = [b'D', b'W'];
 
@@ -424,130 +422,6 @@ pub fn decode<U: WireMessage, D: WireMessage>(frame: &[u8]) -> Result<Frame<U, D
     Ok(out)
 }
 
-/// An in-memory loopback transport: every message is encoded to a full
-/// frame and decoded back before delivery, with per-direction frame and
-/// byte counters. This is the stand-in for a socket; no runtime routes
-/// traffic through it today.
-#[derive(Debug, Default)]
-pub struct Loopback {
-    frames_up: AtomicU64,
-    frames_down: AtomicU64,
-    bytes_up: AtomicU64,
-    bytes_down: AtomicU64,
-}
-
-/// A snapshot of [`Loopback`] traffic counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireStats {
-    /// Upstream frames carried.
-    pub frames_up: u64,
-    /// Downstream frames carried.
-    pub frames_down: u64,
-    /// Total upstream frame bytes, length prefix included.
-    pub bytes_up: u64,
-    /// Total downstream frame bytes, length prefix included.
-    pub bytes_down: u64,
-}
-
-impl Loopback {
-    /// Create a transport with zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Carry one upstream message: encode to a frame, decode it back, and
-    /// return the reconstructed origin + message.
-    pub fn roundtrip_up<U: WireMessage>(
-        &self,
-        origin: u32,
-        msg: &U,
-    ) -> Result<(u32, U), DecodeError> {
-        self.roundtrip_up_sized(origin, msg)
-            .map(|(origin, msg, _)| (origin, msg))
-    }
-
-    /// [`Self::roundtrip_up`] plus the carried frame's byte length
-    /// (length prefix included) — the tracing layer's per-frame size
-    /// source.
-    pub fn roundtrip_up_sized<U: WireMessage>(
-        &self,
-        origin: u32,
-        msg: &U,
-    ) -> Result<(u32, U, u64), DecodeError> {
-        let frame = encode_up(origin, msg);
-        let bytes = frame.len() as u64;
-        self.frames_up.fetch_add(1, Ordering::SeqCst);
-        self.bytes_up.fetch_add(bytes, Ordering::SeqCst);
-        match decode::<U, Unreachable>(&frame)? {
-            Frame::Up { origin, msg } => Ok((origin, msg, bytes)),
-            Frame::Down { .. } => Err(DecodeError::BadTag {
-                context: "direction",
-                tag: DIR_DOWN,
-                offset: 7,
-            }),
-        }
-    }
-
-    /// Carry one downstream message: encode to a frame, decode it back,
-    /// and return the reconstructed destination + message.
-    pub fn roundtrip_down<D: WireMessage>(
-        &self,
-        dest: Dest,
-        msg: &D,
-    ) -> Result<(Dest, D), DecodeError> {
-        self.roundtrip_down_sized(dest, msg)
-            .map(|(dest, msg, _)| (dest, msg))
-    }
-
-    /// [`Self::roundtrip_down`] plus the carried frame's byte length
-    /// (length prefix included).
-    pub fn roundtrip_down_sized<D: WireMessage>(
-        &self,
-        dest: Dest,
-        msg: &D,
-    ) -> Result<(Dest, D, u64), DecodeError> {
-        let frame = encode_down(dest, msg);
-        let bytes = frame.len() as u64;
-        self.frames_down.fetch_add(1, Ordering::SeqCst);
-        self.bytes_down.fetch_add(bytes, Ordering::SeqCst);
-        match decode::<Unreachable, D>(&frame)? {
-            Frame::Down { dest, msg } => Ok((dest, msg, bytes)),
-            Frame::Up { .. } => Err(DecodeError::BadTag {
-                context: "direction",
-                tag: DIR_UP,
-                offset: 7,
-            }),
-        }
-    }
-
-    /// Snapshot the traffic counters.
-    pub fn stats(&self) -> WireStats {
-        WireStats {
-            frames_up: self.frames_up.load(Ordering::SeqCst),
-            frames_down: self.frames_down.load(Ordering::SeqCst),
-            bytes_up: self.bytes_up.load(Ordering::SeqCst),
-            bytes_down: self.bytes_down.load(Ordering::SeqCst),
-        }
-    }
-}
-
-/// Helper type for directions a loopback call cannot produce; decoding it
-/// is always an error.
-#[derive(Debug, Clone, PartialEq)]
-enum Unreachable {}
-
-impl WireMessage for Unreachable {
-    fn wire_encode(&self, _out: &mut Vec<u8>) {
-        match *self {}
-    }
-    fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Err(DecodeError::Uninhabited {
-            kind: "wire/unreachable",
-            offset: r.offset(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,20 +610,6 @@ mod tests {
             decode::<TestMsg, TestMsg>(&frame),
             Err(DecodeError::Trailing { unread: 1, .. })
         ));
-    }
-
-    #[test]
-    fn loopback_counts_traffic_and_preserves_messages() {
-        let lb = Loopback::new();
-        let (origin, up) = lb.roundtrip_up(5, &TestMsg::Delta(17)).unwrap();
-        assert_eq!((origin, up), (5, TestMsg::Delta(17)));
-        let (dest, down) = lb.roundtrip_down(Dest::Broadcast, &TestMsg::Sig).unwrap();
-        assert_eq!(dest, Dest::Broadcast);
-        assert_eq!(down, TestMsg::Sig);
-        let stats = lb.stats();
-        assert_eq!(stats.frames_up, 1);
-        assert_eq!(stats.frames_down, 1);
-        assert!(stats.bytes_up > 8 && stats.bytes_down > 8);
     }
 
     #[test]
