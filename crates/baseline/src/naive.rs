@@ -122,14 +122,6 @@ impl Coordinator for ForwardAllCoordinator {
     }
 }
 
-/// Convenience: build a forward-all cluster of `k` sites.
-pub fn forward_all_cluster(
-    k: u32,
-) -> Result<dtrack_sim::Cluster<ForwardAllSite, ForwardAllCoordinator>, dtrack_sim::SimError> {
-    let sites = (0..k).map(|_| ForwardAllSite).collect();
-    dtrack_sim::Cluster::new(sites, ForwardAllCoordinator::new())
-}
-
 /// [`Protocol`] adapter: the forward-every-arrival baseline for the
 /// [`dtrack_sim::Tracker`] facade. Exact answers at n words.
 #[derive(Debug, Clone, Copy, Default)]
@@ -394,14 +386,6 @@ impl Coordinator for PollingCoordinator {
     }
 }
 
-/// Convenience: build a polling cluster.
-pub fn polling_cluster(
-    config: PollingConfig,
-) -> Result<dtrack_sim::Cluster<PollingSite, PollingCoordinator>, dtrack_sim::SimError> {
-    let sites = (0..config.k).map(|_| PollingSite::exact(config)).collect();
-    dtrack_sim::Cluster::new(sites, PollingCoordinator::new(config))
-}
-
 /// [`Protocol`] adapter: the periodic-polling strawman for the
 /// [`dtrack_sim::Tracker`] facade. Answers carry a 2ε band (up to εn
 /// arrivals are unaccounted between polls).
@@ -460,11 +444,13 @@ impl Protocol for PollingProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtrack_sim::Cluster;
     use dtrack_workload::{Generator, Uniform};
 
     #[test]
     fn forward_all_is_exact() {
-        let mut cluster = forward_all_cluster(3).unwrap();
+        let sites = (0..3).map(|_| ForwardAllSite).collect();
+        let mut cluster = Cluster::new(sites, ForwardAllCoordinator::new()).unwrap();
         let mut gen = Uniform::new(10_000, 3);
         let mut items = Vec::new();
         for i in 0..5_000u64 {
@@ -488,7 +474,8 @@ mod tests {
     fn polling_tracks_quantiles() {
         let epsilon = 0.1;
         let config = PollingConfig::new(4, epsilon).unwrap();
-        let mut cluster = polling_cluster(config).unwrap();
+        let sites = (0..config.k).map(|_| PollingSite::exact(config)).collect();
+        let mut cluster = Cluster::new(sites, PollingCoordinator::new(config)).unwrap();
         let mut gen = Uniform::new(1 << 40, 9);
         let mut items = Vec::new();
         for i in 0..30_000u64 {
@@ -514,7 +501,8 @@ mod tests {
         // cites. (Loose check: polling cost > 0 and grows with n.)
         let config = PollingConfig::new(4, 0.1).unwrap();
         let run = |n: u64| {
-            let mut cluster = polling_cluster(config).unwrap();
+            let sites = (0..config.k).map(|_| PollingSite::exact(config)).collect();
+            let mut cluster = Cluster::new(sites, PollingCoordinator::new(config)).unwrap();
             let mut gen = Uniform::new(1 << 30, 4);
             for i in 0..n {
                 cluster

@@ -65,10 +65,10 @@ use dtrack_core::hh::{HhConfig, HhExactProtocol, HhSketchedProtocol};
 use dtrack_core::quantile::{QuantileConfig, QuantileSketchedProtocol};
 use dtrack_sim::sharded::{RunTicket, ShardedCluster};
 use dtrack_sim::{BackendKind, Cluster, FlowControlConfig, Protocol, SiteId, TraceConfig, Tracker};
-use dtrack_testkit::threaded::free_run_len;
+use dtrack_testkit::runner::{free_run_len, ingest_site_runs};
 use dtrack_testkit::{
-    measure_cost, measure_on_backend, AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario,
-    ThreadedIngest,
+    measure_cost, measure_on_backend, AssignmentSpec, Delivery, GeneratorSpec, ProtocolSpec,
+    Scenario,
 };
 use std::time::Instant;
 
@@ -263,19 +263,10 @@ fn push_free_cells<P: Protocol>(
             if hinted {
                 tracker.cost_hint(ref_rate);
             }
-            let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k as usize];
+            let mut runs = vec![Vec::new(); k as usize];
             let start = Instant::now();
             for part in stream.chunks(run_len * k as usize) {
-                for &(site, item) in part {
-                    per_site[site.index()].push(item);
-                }
-                for (i, items) in per_site.iter_mut().enumerate() {
-                    if !items.is_empty() {
-                        tracker
-                            .ingest(SiteId(i as u32), std::mem::take(items))
-                            .expect("ingest");
-                    }
-                }
+                ingest_site_runs(&mut tracker, part, &mut runs).expect("ingest");
             }
             tracker.settle();
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -387,10 +378,10 @@ pub fn free_run_words_factor(results: &[SmokeResult]) -> f64 {
     worst
 }
 
-fn mode_label(ingest: ThreadedIngest) -> &'static str {
-    match ingest {
-        ThreadedIngest::PerItem => "threaded-per-item",
-        ThreadedIngest::Batched => "threaded-batched",
+fn mode_label(delivery: Delivery) -> &'static str {
+    match delivery {
+        Delivery::PerItem => "threaded-per-item",
+        Delivery::Batched => "threaded-batched",
     }
 }
 
@@ -417,7 +408,7 @@ const PAIR_CHUNK: usize = dtrack_testkit::runner::FEED_CHUNK as usize;
 /// Target per-site run length for the free-running pool pair cells —
 /// the testkit's, so the pairs mirror the headline `threaded-batched:`
 /// cells.
-const PAIR_FREE_RUN: usize = dtrack_testkit::threaded::FREE_RUN;
+const PAIR_FREE_RUN: usize = dtrack_testkit::runner::FREE_RUN;
 
 /// Build one timed cell from a closure that ingests the stream and
 /// returns (words, messages). Best-of-2: construction state is rebuilt
@@ -534,19 +525,10 @@ fn facade_pool<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
             .protocol(p.clone())
             .build()
             .expect("tracker");
-        let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k];
+        let mut runs = vec![Vec::new(); k];
         let start = Instant::now();
         for part in stream.chunks(PAIR_FREE_RUN * k) {
-            for &(site, item) in part {
-                per_site[site.index()].push(item);
-            }
-            for (i, items) in per_site.iter_mut().enumerate() {
-                if !items.is_empty() {
-                    tracker
-                        .ingest(SiteId(i as u32), std::mem::take(items))
-                        .expect("ingest");
-                }
-            }
+            ingest_site_runs(&mut tracker, part, &mut runs).expect("ingest");
         }
         tracker.settle();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -693,15 +675,15 @@ pub fn run_smoke() -> Vec<SmokeResult> {
         })
         .collect();
     for scenario in threaded_scenarios() {
-        for ingest in [ThreadedIngest::PerItem, ThreadedIngest::Batched] {
+        for delivery in [Delivery::PerItem, Delivery::Batched] {
             // Pool cells time ingest only (stream generation, spawn, and
-            // teardown excluded — `ThreadedOutcome::ingest_ms`), so the
+            // teardown excluded — `ScenarioOutcome::ingest_ms`), so the
             // batched/per-item ratio measures the delivery path, not
             // shared setup costs.
             let outcome =
-                measure_on_backend(&scenario, ingest, POOL).expect("pool smoke scenario failed");
+                measure_on_backend(&scenario, delivery, POOL).expect("pool smoke scenario failed");
             results.push(SmokeResult {
-                scenario: format!("{}:{}", mode_label(ingest), outcome.report.scenario),
+                scenario: format!("{}:{}", mode_label(delivery), outcome.report.scenario),
                 words: outcome.report.words,
                 messages: outcome.report.messages,
                 wall_ms: outcome.ingest_ms,

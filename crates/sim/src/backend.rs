@@ -24,10 +24,10 @@
 
 #![deny(missing_docs)]
 
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::RecvTimeoutError;
 use dtrack_trace::{
     merge_snapshots, SiteTracer, TraceConfig, TraceEvent, TraceEventKind, TraceLane,
 };
@@ -299,6 +299,17 @@ where
     }
 }
 
+/// Rate-drift threshold: observed metered words-per-item above the
+/// `cost_hint` reference times this factor fires the global drift signal.
+const DRIFT_FACTOR: f64 = 1.25;
+
+/// Flushed items between metered words-per-item probes. Probes read a
+/// relaxed cluster-wide atomic, so frequent sampling is cheap — and the
+/// sampling rate bounds how fast the controller can push back: windows
+/// grow additively per clean *run* but halve at most once per probe, so
+/// at high site counts a sparse probe lets growth outrun control.
+const SAMPLE_ITEMS: u64 = 2048;
+
 /// The per-site AIMD flow-control window behind the pool's
 /// [`Backend::ingest`] (the successor of the fixed one-run-per-site
 /// ticket window).
@@ -442,7 +453,7 @@ impl<I> AimdWindow<I> {
         loop {
             let win = self.controller.window(idx) as usize;
             if let Some(ticket) = self.tickets[idx].take() {
-                if ticket.0.try_recv().is_some() {
+                if ticket.0.try_recv().is_ok() {
                     let before = self.controller.window(idx);
                     self.controller.clean_run(idx);
                     self.trace_window_change(idx, before);
@@ -495,7 +506,7 @@ impl<I> AimdWindow<I> {
         Ok(())
     }
 
-    /// Every `sample_items` flushed items, compare the observed metered
+    /// Every [`SAMPLE_ITEMS`] flushed items, compare the observed metered
     /// words-per-item against the reference rate; sustained excess fires
     /// the global drift signal (the meter is cluster-wide, so every
     /// window halves).
@@ -508,7 +519,7 @@ impl<I> AimdWindow<I> {
             return; // fixed window: nothing to adapt, skip the probe cost
         }
         let delta_items = self.flushed_items - self.last_probe_items;
-        if delta_items < config.sample_items {
+        if delta_items < SAMPLE_ITEMS {
             return;
         }
         let words = probe_words();
@@ -516,7 +527,7 @@ impl<I> AimdWindow<I> {
         self.last_probe_items = self.flushed_items;
         self.last_probe_words = words;
         let observed = delta_words as f64 / delta_items as f64;
-        if observed > ref_rate * config.drift_factor {
+        if observed > ref_rate * DRIFT_FACTOR {
             self.controller.drift_all();
             // One event stands in for the cluster-wide halving; site
             // `u32::MAX` is the documented "all sites" sentinel and the

@@ -115,11 +115,6 @@ where
         &self.meter
     }
 
-    /// Mutable access to the meter (e.g. to reset after a warm-up phase).
-    pub fn meter_mut(&mut self) -> &mut MessageMeter {
-        &mut self.meter
-    }
-
     /// Apply a trace config. Takes effect on the next recorded event — the
     /// deterministic runtime is single-threaded, so there is no handshake
     /// to wait for.

@@ -13,8 +13,8 @@
 //!   [`FlowControlConfig::increase`] (additive increase, up to `win_max`);
 //! * a **drift signal** halves windows (multiplicative decrease, floored
 //!   at `win_min`). Drift fires when the observed metered words-per-item
-//!   exceeds the reference rate installed via `cost_hint` by
-//!   `drift_factor` (a global signal — the meter is cluster-wide — so
+//!   exceeds the reference rate installed via `cost_hint` by a fixed
+//!   factor of 1.25 (a global signal — the meter is cluster-wide — so
 //!   every window halves), or when a site's previous run is still
 //!   unconsumed after `backpressure_wait` at the moment its buffer is
 //!   full (a per-site backpressure signal — only that window halves).
@@ -54,16 +54,6 @@ pub struct FlowControlConfig {
     /// Additive increase applied to a site's window after each cleanly
     /// completed run (0 freezes the window).
     pub increase: u32,
-    /// Drift threshold: observed words-per-item above `reference ×
-    /// drift_factor` fires the global drift signal. Must be ≥ 1.0.
-    pub drift_factor: f64,
-    /// How many flushed items between metered words-per-item probes.
-    /// Probes read a relaxed cluster-wide atomic, so frequent sampling is
-    /// cheap — and the sampling rate bounds how fast the controller can
-    /// push back: windows grow additively per clean *run* but halve at
-    /// most once per probe, so at high site counts a sparse probe lets
-    /// growth outrun control.
-    pub sample_items: u64,
     /// How long a full-buffer flush waits on the previous run before
     /// treating the site as backpressured (per-site drift signal).
     pub backpressure_wait: Duration,
@@ -86,8 +76,6 @@ impl Default for FlowControlConfig {
             win_max: WIN_MAX,
             initial: 128,
             increase: 16,
-            drift_factor: 1.25,
-            sample_items: 2048,
             backpressure_wait: Duration::from_millis(2),
             inflight_cap: 1024,
         }
@@ -120,16 +108,6 @@ impl FlowControlConfig {
                 "flow-control win_min {} exceeds win_max {}",
                 self.win_min, self.win_max
             ));
-        }
-        // NaN must fail too, so the comparison alone is not enough.
-        if self.drift_factor.is_nan() || self.drift_factor < 1.0 {
-            return Err(format!(
-                "flow-control drift_factor must be >= 1.0, got {}",
-                self.drift_factor
-            ));
-        }
-        if self.sample_items == 0 {
-            return Err("flow-control sample_items must be >= 1".to_owned());
         }
         Ok(())
     }
@@ -316,21 +294,6 @@ mod tests {
         let bad = FlowControlConfig {
             win_min: 64,
             win_max: 16,
-            ..FlowControlConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FlowControlConfig {
-            drift_factor: 0.5,
-            ..FlowControlConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FlowControlConfig {
-            drift_factor: f64::NAN,
-            ..FlowControlConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = FlowControlConfig {
-            sample_items: 0,
             ..FlowControlConfig::default()
         };
         assert!(bad.validate().is_err());

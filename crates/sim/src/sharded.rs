@@ -81,11 +81,11 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dtrack_trace::{
     merge_snapshots, SiteTracer, TraceConfig, TraceEvent, TraceEventKind, TraceLane, TraceShared,
 };
@@ -596,7 +596,7 @@ where
             words_shared: AtomicU64::new(0),
             trace_shared,
         });
-        let (coord_tx, coord_rx): (Sender<CoordCmd<C>>, Receiver<CoordCmd<C>>) = unbounded();
+        let (coord_tx, coord_rx): (Sender<CoordCmd<C>>, Receiver<CoordCmd<C>>) = channel();
         let worker_handles = (0..workers)
             .map(|w| {
                 let pool = Arc::clone(&pool);
@@ -618,11 +618,6 @@ where
     /// Number of logical sites k.
     pub fn num_sites(&self) -> u32 {
         self.pool.sites.len() as u32
-    }
-
-    /// Number of worker threads serving those sites.
-    pub fn num_workers(&self) -> usize {
-        self.pool.shards.len()
     }
 
     pub(crate) fn check_site(&self, site: SiteId) -> Result<usize, SimError> {
@@ -702,7 +697,7 @@ where
             let idx = self.check_site(site)?;
             let items: Vec<S::Item> = batch[i..j].iter().map(|(_, it)| it.clone()).collect();
             let total = items.len();
-            let (ptx, prx) = unbounded();
+            let (ptx, prx) = channel();
             self.push(
                 idx,
                 ShardCmd::Batch {
@@ -746,7 +741,7 @@ where
     /// thresholds) — backpressure by ticket, not by queue overflow.
     pub fn ingest_run(&self, site: SiteId, items: Vec<S::Item>) -> Result<RunTicket, SimError> {
         let idx = self.check_site(site)?;
-        let (dtx, drx) = unbounded();
+        let (dtx, drx) = channel();
         if items.is_empty() {
             let _ = dtx.send(());
             return Ok(RunTicket(drx));
@@ -789,7 +784,7 @@ where
             .coord_tx
             .as_ref()
             .ok_or(SimError::WorkerGone { who: "coordinator" })?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         coord_tx
             .send(CoordCmd::With(Box::new(move |c: &mut C| {
                 let _ = tx.send(f(c));
@@ -869,7 +864,7 @@ where
         }
         let coordinator = match self.coord_tx.take() {
             Some(ctx) => {
-                let (stx, srx) = unbounded();
+                let (stx, srx) = channel();
                 let sent = ctx.send(CoordCmd::Stop(stx)).is_ok();
                 drop(ctx);
                 sent.then(|| srx.recv().ok()).flatten()
@@ -927,7 +922,7 @@ where
             let _ = h.join();
         }
         if let Some(ctx) = self.coord_tx.take() {
-            let (stx, _srx) = unbounded();
+            let (stx, _srx) = channel();
             let _ = ctx.send(CoordCmd::Stop(stx));
         }
         if let Some(h) = self.coord_handle.take() {
@@ -1433,7 +1428,6 @@ mod tests {
         let sites = (0..4).map(|_| LogSite::default()).collect();
         let cluster = ShardedCluster::spawn_with(sites, SumCoord::default(), cfg(2)).unwrap();
         assert_eq!(cluster.num_sites(), 4);
-        assert_eq!(cluster.num_workers(), 2);
         let mut expect = 0u64;
         for i in 1..=20u64 {
             expect += i;

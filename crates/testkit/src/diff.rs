@@ -24,9 +24,9 @@
 //! panic with the table (and, for runtime divergence, the trace diff)
 //! in the panic message.
 
-use crate::report::ScenarioReport;
+use crate::report::{ScenarioOutcome, ScenarioReport};
+use crate::runner::run_scenario_traced;
 use crate::scenario::Scenario;
-use crate::threaded::{run_scenario_traced, ThreadedOutcome};
 use dtrack_sim::{
     canonical_kind_order, write_chrome_file, BackendKind, TraceEvent, TraceEventKind, TraceLane,
 };
@@ -266,13 +266,13 @@ fn totals(report: &ScenarioReport) -> (u64, u64) {
 /// Assert a parallel-backend outcome matches the deterministic
 /// reference: identical answers and identical metered cost. On mismatch,
 /// panic with the per-kind delta table and the first diverging traced
-/// hop window (`context` tags the variant, e.g. `wire=true`).
+/// hop window (`context` tags the variant, e.g. `workers=Some(3)`).
 pub fn assert_outcomes_match(
     scenario: &Scenario,
     context: &str,
     actual_backend: BackendKind,
-    actual: &ThreadedOutcome,
-    reference: &ThreadedOutcome,
+    actual: &ScenarioOutcome,
+    reference: &ScenarioOutcome,
 ) {
     let answers_ok = actual.answers == reference.answers;
     let costs_ok = totals(&actual.report) == totals(&reference.report)
@@ -425,8 +425,8 @@ mod tests {
             ProtocolSpec::Counter,
         );
         let pool = BackendKind::Sharded { workers: Some(16) };
-        let thr = crate::threaded::run_scenario_on_backend(&s, pool).unwrap();
-        let det = crate::threaded::run_scenario_reference(&s).unwrap();
+        let thr = crate::runner::run_scenario_on_backend(&s, pool).unwrap();
+        let det = crate::runner::run_scenario_reference(&s).unwrap();
         assert_outcomes_match(&s, "", pool, &thr, &det);
     }
 }

@@ -19,6 +19,12 @@
 //! run. Integration tests and the experiment harness both drive this
 //! crate instead of hand-rolling their own scenario loops.
 //!
+//! One driver ([`runner`]) takes every scenario to the tracker, on any
+//! backend: in differential mode (the checks above), meter-only (the
+//! experiments' cost tables and the cross-backend equivalence suites,
+//! which compare a [`ScenarioOutcome`]'s answers and metered words), or
+//! free-running on the pool (throughput, timed by `ingest_ms`).
+//!
 //! ```
 //! use dtrack_testkit::{run_scenario, Scenario};
 //! use dtrack_testkit::scenario::{AssignmentSpec, GeneratorSpec, ProtocolSpec};
@@ -46,7 +52,12 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod threaded;
+
+/// The free-running run length under its former path, which the
+/// standalone `benchmark/` package builds against.
+pub mod threaded {
+    pub use crate::runner::free_run_len;
+}
 
 pub use diff::{
     assert_matches_golden, assert_outcomes_match, cost_delta_table, trace_artifact_dir, trace_diff,
@@ -55,16 +66,13 @@ pub use diff::{
 pub use faults::{FaultPlan, KillFault, StallFault};
 pub use matrix::{default_matrix, hostile_matrix, matrix, pressure_matrix, BASE_MATRIX_LEN};
 pub use registry::{ProtocolProfile, WarmupPolicy};
-pub use report::{ScenarioFailure, ScenarioReport};
+pub use report::{ScenarioFailure, ScenarioOutcome, ScenarioReport};
 pub use runner::{
-    measure_cost, measure_cost_per_item, run_matrix, run_scenario, run_scenario_on,
-    run_scenario_per_item,
+    measure_cost, measure_cost_per_item, measure_on_backend, run_matrix, run_scenario,
+    run_scenario_on, run_scenario_on_backend, run_scenario_per_item, run_scenario_reference,
+    run_scenario_traced, Delivery,
 };
 pub use scenario::{AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario, Tuning};
-pub use threaded::{
-    measure_on_backend, run_scenario_on_backend, run_scenario_reference, run_scenario_traced,
-    ThreadedIngest, ThreadedOutcome,
-};
 
 // The facade types scenario drivers hand out, re-exported so harness
 // consumers don't need a direct dtrack-sim dependency.

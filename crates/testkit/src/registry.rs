@@ -6,8 +6,8 @@
 //! the protocol's default warm-up, the Θ-shape of the paper's
 //! communication bound, whether order-adversarial generators get budget
 //! headroom, and how to check the ε-guarantee against the exact oracle at
-//! a checkpoint. The scenario drivers ([`crate::runner`],
-//! [`crate::threaded`]), the budget calculator ([`crate::bound`]), and
+//! a checkpoint. The scenario driver ([`crate::runner`]), the budget
+//! calculator ([`crate::bound`]), and
 //! [`crate::scenario::ProtocolSpec::label`] all consume rows from here —
 //! adding a protocol (or a backend) touches exactly this table, nothing
 //! else.
@@ -242,7 +242,7 @@ fn finish_build<P: dtrack_sim::Protocol>(
         // length the driver feeds with so the first runs are neither
         // split nor buffered.
         .flow_control(FlowControlConfig {
-            initial: crate::threaded::free_run_len(scenario.k) as u32,
+            initial: crate::runner::free_run_len(scenario.k) as u32,
             ..FlowControlConfig::default()
         });
     if let Some(cap) = scenario.faults.queue_cap {

@@ -1,5 +1,6 @@
 //! Outcome types: per-scenario reports and failures.
 
+use dtrack_sim::{Answer, TraceEvent};
 use std::fmt;
 
 /// Cost and accuracy summary of one completed scenario.
@@ -47,6 +48,26 @@ impl fmt::Display for ScenarioReport {
             self.checks,
         )
     }
+}
+
+/// Everything one driven scenario hands back (see [`crate::runner`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioOutcome {
+    /// Cost summary; `checks` is 0 outside differential mode, where
+    /// accuracy is asserted by comparing answers across backends rather
+    /// than by an in-run oracle.
+    pub report: ScenarioReport,
+    /// Typed canonical final answers (protocol-specific); `Display`
+    /// renders the legacy canonical strings.
+    pub answers: Vec<Answer>,
+    /// Wall-clock milliseconds spent inside tracker calls feeding the
+    /// stream, injecting faults and settling — stream generation, tracker
+    /// construction, checkpoints and teardown excluded, so throughput
+    /// comparisons measure ingest, not setup.
+    pub ingest_ms: f64,
+    /// Merged structured-event stream when the run was traced (see
+    /// [`crate::runner::run_scenario_traced`]); empty on untraced runs.
+    pub trace: Vec<TraceEvent>,
 }
 
 /// A guarantee violation, tagged with the (replayable) scenario name.

@@ -20,9 +20,10 @@
 
 use dtrack_sim::{SimError, SiteId};
 use dtrack_testkit::{
-    apply_matrix_filter, default_matrix, golden, hostile_matrix, pressure_matrix,
-    registry::build_tracker, run_scenario_on, run_scenario_on_backend, run_scenario_reference,
-    BackendKind, FaultEvent, Scenario, WarmupPolicy, BASE_MATRIX_LEN, MATRIX_FILTER_ENV,
+    apply_matrix_filter, default_matrix, golden, hostile_matrix, measure_on_backend,
+    pressure_matrix, registry::build_tracker, run_scenario_on, run_scenario_on_backend,
+    run_scenario_reference, Answer, BackendKind, Delivery, FaultEvent, ProtocolSpec, Scenario,
+    WarmupPolicy, BASE_MATRIX_LEN, MATRIX_FILTER_ENV,
 };
 use std::time::{Duration, Instant};
 
@@ -215,6 +216,38 @@ fn promoted_stall_axis_settles_and_keeps_the_transcript() {
             (reference.report.words, reference.report.messages),
             "[{name}]"
         );
+    }
+}
+
+/// Free-running ingest under faults: the counter rows that kill or stall
+/// a site, streamed free-running onto a two-worker pool through both
+/// deliveries. The driver injects each fault on a settled pool at the
+/// same stream position as in the settled modes, so every run must
+/// complete, and the final count must land within 2ε·n of n — the
+/// relaxation differential mode applies after a kill.
+#[test]
+fn free_running_ingest_survives_kills_and_stalls() {
+    let rows: Vec<Scenario> = hostile_rows()
+        .into_iter()
+        .filter(|s| {
+            s.protocol == ProtocolSpec::Counter && (s.faults.has_kill() || s.faults.stall.is_some())
+        })
+        .collect();
+    assert_eq!(rows.len(), 4, "counter kill/stall rows changed");
+    let backend = BackendKind::Sharded { workers: Some(2) };
+    for scenario in &rows {
+        let n = scenario.n as f64;
+        for delivery in [Delivery::PerItem, Delivery::Batched] {
+            let out = measure_on_backend(scenario, delivery, backend)
+                .unwrap_or_else(|f| panic!("{delivery:?}: {f}"));
+            let [Answer::Count(estimate)] = out.answers[..] else {
+                panic!("[{scenario}] {delivery:?}: {:?}", out.answers);
+            };
+            assert!(
+                (estimate as f64 - n).abs() <= 2.0 * scenario.epsilon * n,
+                "[{scenario}] {delivery:?}: count {estimate} not within 2εn of n = {n}"
+            );
+        }
     }
 }
 

@@ -10,6 +10,7 @@ use dtrack::core::quantile::{QuantileCoordinator, QuantileSite};
 use dtrack::prelude::*;
 use dtrack::sim::sharded::{RunTicket, ShardedCluster, ShardedConfig};
 use dtrack::workload::{RoundRobin, Stream, Zipf};
+use dtrack_testkit::runner::ingest_site_runs;
 use dtrack_testkit::{AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario};
 
 /// One pool worker per site.
@@ -366,19 +367,12 @@ fn sharded_parallel_ingest_still_correct_at_high_k() {
     let stream: Vec<(SiteId, u64)> =
         Stream::new(Zipf::new(1 << 14, 1.5, 9), RoundRobin::new(k), 40_000).collect();
     let mut oracle = ExactOracle::new();
-    let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k as usize];
+    for &(_, item) in &stream {
+        oracle.observe(item);
+    }
+    let mut runs = vec![Vec::new(); k as usize];
     for part in stream.chunks(128 * k as usize) {
-        for &(site, item) in part {
-            oracle.observe(item);
-            per_site[site.index()].push(item);
-        }
-        for (i, items) in per_site.iter_mut().enumerate() {
-            if !items.is_empty() {
-                tracker
-                    .ingest(SiteId(i as u32), std::mem::take(items))
-                    .unwrap();
-            }
-        }
+        ingest_site_runs(&mut tracker, part, &mut runs).unwrap();
     }
     tracker.settle();
     let reported = match tracker.query(Query::HeavyHitters { phi }).unwrap() {
