@@ -515,42 +515,62 @@ mod tests {
         assert_eq!(det, pool);
     }
 
-    #[test]
-    fn sharded_matches_reference_through_the_generic_driver() {
+    /// A pool of `workers` must replay the reference run of [`bursty`]
+    /// heavy hitters transcript-identically: same answers, words and
+    /// messages.
+    fn assert_pool_matches_reference(workers: Option<usize>) {
         let s = bursty(ProtocolSpec::HhExact);
         let det = run_scenario_reference(&s).unwrap();
-        // The machine-default pool (one worker per core), a multiplexed
-        // one (workers < k) and an over-provisioned one (workers > k)
-        // must all be transcript-identical.
-        for workers in [None, Some(2), Some(16)] {
-            let sh = run_scenario_on_backend(&s, BackendKind::Sharded { workers }).unwrap();
-            assert_eq!(sh.answers, det.answers, "workers={workers:?}");
-            assert_eq!(sh.report.words, det.report.words, "workers={workers:?}");
-            assert_eq!(
-                sh.report.messages, det.report.messages,
-                "workers={workers:?}"
+        let sh = run_scenario_on_backend(&s, BackendKind::Sharded { workers }).unwrap();
+        assert_eq!(sh.answers, det.answers, "workers={workers:?}");
+        assert_eq!(sh.report.words, det.report.words, "workers={workers:?}");
+        assert_eq!(
+            sh.report.messages, det.report.messages,
+            "workers={workers:?}"
+        );
+    }
+
+    #[test]
+    fn threaded_matches_reference_for_hh() {
+        // The machine-default pool: one worker per core.
+        assert_pool_matches_reference(None);
+    }
+
+    #[test]
+    fn sharded_matches_reference_through_the_generic_driver() {
+        // Multiplexed (workers < k) and over-provisioned (workers > k)
+        // pools.
+        assert_pool_matches_reference(Some(2));
+        assert_pool_matches_reference(Some(16));
+    }
+
+    /// Free-running [`bursty`] counts on a pool of `workers` must
+    /// complete through both deliveries, meter words and answer.
+    fn assert_free_running_completes(workers: usize) {
+        let s = bursty(ProtocolSpec::Counter);
+        let backend = BackendKind::Sharded {
+            workers: Some(workers),
+        };
+        for delivery in [Delivery::PerItem, Delivery::Batched] {
+            let out = measure_on_backend(&s, delivery, backend).unwrap();
+            assert_eq!(out.answers.len(), 1);
+            assert!(
+                out.report.words > 0,
+                "{delivery:?} on {workers} workers metered nothing"
             );
         }
     }
 
     #[test]
     fn free_running_ingest_completes_and_answers() {
-        // Multiplexed (2 workers for 4 sites) and over-provisioned (every
-        // site has a worker of its own) pools, both delivery paths.
-        let s = bursty(ProtocolSpec::Counter);
-        for workers in [2, 16] {
-            let backend = BackendKind::Sharded {
-                workers: Some(workers),
-            };
-            for delivery in [Delivery::PerItem, Delivery::Batched] {
-                let out = measure_on_backend(&s, delivery, backend).unwrap();
-                assert_eq!(out.answers.len(), 1);
-                assert!(
-                    out.report.words > 0,
-                    "{delivery:?} on {workers} workers metered nothing"
-                );
-            }
-        }
+        // More workers than sites: every site has a worker of its own.
+        assert_free_running_completes(16);
+    }
+
+    #[test]
+    fn sharded_free_running_ingest_completes_and_answers() {
+        // Multiplexed: 2 workers for 4 sites.
+        assert_free_running_completes(2);
     }
 
     #[test]
