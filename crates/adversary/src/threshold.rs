@@ -10,7 +10,8 @@
 //! copies there, forcing at least one message. This repeats `Ω(k)` times.
 //!
 //! [`ThresholdAdversary`] implements exactly that strategy against our own
-//! §2.1 protocol via [`HhSite::remaining_until_message`].
+//! §2.1 protocol via
+//! [`HhSite::remaining_until_message`](dtrack_core::hh::HhSite::remaining_until_message).
 
 use dtrack_core::hh::{ExactHhSite, HhCoordinator};
 use dtrack_sim::{Cluster, SimError, SiteId};

@@ -1,5 +1,5 @@
 //! The Cormode–Garofalakis–Muthukrishnan–Rastogi (SIGMOD 2005) baseline —
-//! the paper's reference [7] and the prior best bound it improves.
+//! the paper's reference \[7\] and the prior best bound it improves.
 //!
 //! Each site keeps its local stream (exactly, or in a GK sketch) and
 //! re-ships an equi-depth summary of everything it has seen, with rank
@@ -188,7 +188,7 @@ impl CgmrCoordinator {
     }
 
     /// Approximate φ-heavy hitters by rank differences over the merged
-    /// separator candidates (the standard [7] extraction).
+    /// separator candidates (the standard \[7\] extraction).
     pub fn heavy_hitters(&self, phi: f64, epsilon: f64) -> Vec<u64> {
         let m = self.merged();
         let n = m.total();

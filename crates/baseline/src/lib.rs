@@ -6,7 +6,7 @@
 //!
 //! * [`cgmr::CgmrCoordinator`] — the prior state of the art for
 //!   distributed all-quantile tracking, Cormode, Garofalakis,
-//!   Muthukrishnan & Rastogi (SIGMOD 2005), the paper's reference [7]:
+//!   Muthukrishnan & Rastogi (SIGMOD 2005), the paper's reference \[7\]:
 //!   every site re-ships an ε/4-accurate summary of its entire local
 //!   stream whenever its local count grows by a (1+ε/4) factor. Total
 //!   cost O(k/ε² · log n) — the Θ(1/ε) gap to Theorem 4.1 is the paper's

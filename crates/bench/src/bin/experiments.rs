@@ -1,4 +1,5 @@
-//! Experiment harness CLI. See EXPERIMENTS.md for the experiment index.
+//! Experiment harness CLI. `experiments --help` lists every experiment id
+//! from the [`dtrack_bench::EXPERIMENTS`] table.
 //!
 //! ```text
 //! cargo run --release -p dtrack-bench --bin experiments -- all
@@ -66,43 +67,17 @@ fn main() {
         );
         let overhead = dtrack_bench::smoke::facade_overhead_geomean(&results);
         println!("facade/direct wall-clock overhead (geomean): {overhead:.3}x");
-        // The documented acceptance ceiling, enforced: the facade must
-        // cost <= 2% over the bare clusters (geomean over best-of-2
-        // pairs on both backends, so scheduler noise is averaged out).
-        if overhead > 1.02 {
-            eprintln!("FAIL: facade overhead {overhead:.3}x exceeds the 1.02x ceiling");
-            std::process::exit(1);
-        }
         let adaptive = dtrack_bench::smoke::adaptive_vs_fixed_throughput(&results);
         println!("adaptive/fixed free-running ingest throughput (geomean): {adaptive:.2}x");
-        // The AIMD controller's no-regression gate, enforced: on a
-        // healthy cluster adaptation must not ingest slower than the
-        // old fixed window did.
-        if adaptive < 1.0 {
-            eprintln!("FAIL: adaptive flow control {adaptive:.2}x is slower than the fixed window");
-            std::process::exit(1);
-        }
         let drift = dtrack_bench::smoke::free_run_words_factor(&results);
         println!("worst free-running words factor over deterministic: {drift:.3}x");
-        // The controller's drift contract, enforced: every free-running
-        // cell's metered words stay within the testkit's budget headroom
-        // of its pinned deterministic twin.
-        if drift > dtrack_bench::smoke::FREE_WORDS_CEILING {
-            eprintln!(
-                "FAIL: free-running words drift {drift:.3}x exceeds the {:.1}x ceiling",
-                dtrack_bench::smoke::FREE_WORDS_CEILING
-            );
-            std::process::exit(1);
-        }
         let trace = dtrack_bench::smoke::trace_overhead_geomean(&results);
         println!("traced-off/pre-trace wall-clock overhead (geomean): {trace:.3}x");
-        // The trace layer's hot-path contract, enforced: disabled
-        // instrumentation (one relaxed load and a never-taken branch per
-        // event site) must cost <= 2% over the bare pre-trace ingest
-        // loop (geomean over best-of-2 deterministic pairs).
-        if trace > 1.02 {
-            eprintln!("FAIL: disabled-trace overhead {trace:.3}x exceeds the 1.02x ceiling");
-            std::process::exit(1);
+        // The enforced gates: report every failure and still write the
+        // snapshot, so a failed run keeps its per-cell numbers.
+        let gate_failures = dtrack_bench::smoke::failed_gates(&results);
+        for (gate, message) in &gate_failures {
+            eprintln!("FAIL ({gate}): {message}");
         }
         let json = dtrack_bench::smoke::smoke_json(&results);
         let snapshot = dtrack_bench::smoke::SMOKE_SNAPSHOT;
@@ -121,6 +96,9 @@ fn main() {
             std::process::exit(1);
         }
         println!("wrote {}", path.display());
+        if !gate_failures.is_empty() {
+            std::process::exit(1);
+        }
     }
     let out_dir = explicit_out.unwrap_or_else(|| PathBuf::from("results"));
     let mut failed = false;

@@ -5,9 +5,9 @@
 //! evaluation section — its "results" are bounds — so each experiment
 //! demonstrates the *shape* of a bound: how communication scales with n,
 //! k, and ε; how the lower-bound adversaries force cost; and how the
-//! structural invariants of Figure 1 hold over time. EXPERIMENTS.md maps
-//! each experiment id to the claim it validates and records measured
-//! numbers.
+//! structural invariants of Figure 1 hold over time. The [`EXPERIMENTS`]
+//! table (printed by `experiments --help`) maps each experiment id to the
+//! claim it validates.
 //!
 //! Run everything:
 //!
@@ -15,7 +15,7 @@
 //! cargo run --release -p dtrack-bench --bin experiments -- all
 //! ```
 //!
-//! or a single experiment by id (`e1` … `e16`). Each table is printed and
+//! or a single experiment by id (`e1` … `e18`). Each table is printed and
 //! also written as CSV under `results/`.
 
 pub mod exp_allq;

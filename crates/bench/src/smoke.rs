@@ -270,16 +270,6 @@ fn push_free_cells<P: Protocol>(
             }
             tracker.settle();
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            if hinted && std::env::var_os("DTRACK_FLOW_DEBUG").is_some() {
-                if let Ok(dtrack_sim::Answer::FlowControl(stats)) =
-                    tracker.query(dtrack_sim::Query::FlowControl)
-                {
-                    eprintln!("    [{scenario} k={k}] {stats}");
-                }
-                for (kind, cost) in tracker.cost().report().by_kind {
-                    eprintln!("      {kind}: {} msgs {} words", cost.messages, cost.words);
-                }
-            }
             let meter = tracker.cost();
             (meter.total_words(), meter.total_messages(), wall_ms)
         }));
@@ -794,6 +784,54 @@ pub fn trace_overhead_geomean(results: &[SmokeResult]) -> f64 {
     }
 }
 
+/// The wall-clock overhead ceiling of the facade and disabled-trace
+/// gates: at most 2% over the bare clusters.
+const OVERHEAD_CEILING: f64 = 1.02;
+
+/// Check the smoke's four enforced gates and return each one that
+/// failed as (gate name, what it read), in this order:
+///
+/// * `facade` — [`facade_overhead_geomean`] ≤ 1.02: the facade costs
+///   ≤ 2% over the bare clusters (geomean over best-of-2 pairs on both
+///   backends, so scheduler noise is averaged out);
+/// * `adaptive` — [`adaptive_vs_fixed_throughput`] ≥ 1.0: on a healthy
+///   cluster the AIMD controller ingests no slower than the fixed window;
+/// * `words` — [`free_run_words_factor`] ≤ [`FREE_WORDS_CEILING`]: every
+///   adaptive free-running cell stays within the testkit's budget
+///   headroom of its pinned deterministic twin;
+/// * `trace` — [`trace_overhead_geomean`] ≤ 1.02: disabled
+///   instrumentation (one relaxed load and a never-taken branch per
+///   event site) costs ≤ 2% over the bare pre-trace ingest loop.
+///
+/// Every gate is evaluated, so one failure never hides another.
+pub fn failed_gates(results: &[SmokeResult]) -> Vec<(&'static str, String)> {
+    let mut failed = Vec::new();
+    let facade = facade_overhead_geomean(results);
+    if facade > OVERHEAD_CEILING {
+        let msg = format!("facade overhead {facade:.3}x exceeds the {OVERHEAD_CEILING}x ceiling");
+        failed.push(("facade", msg));
+    }
+    let adaptive = adaptive_vs_fixed_throughput(results);
+    if adaptive < 1.0 {
+        let msg = format!("adaptive flow control {adaptive:.2}x is slower than the fixed window");
+        failed.push(("adaptive", msg));
+    }
+    let drift = free_run_words_factor(results);
+    if drift > FREE_WORDS_CEILING {
+        let msg = format!(
+            "free-running words drift {drift:.3}x exceeds the {FREE_WORDS_CEILING:.1}x ceiling"
+        );
+        failed.push(("words", msg));
+    }
+    let trace = trace_overhead_geomean(results);
+    if trace > OVERHEAD_CEILING {
+        let msg =
+            format!("disabled-trace overhead {trace:.3}x exceeds the {OVERHEAD_CEILING}x ceiling");
+        failed.push(("trace", msg));
+    }
+    failed
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -1094,6 +1132,41 @@ mod tests {
         // The ceiling is the testkit's budget headroom, not a drifting
         // local copy.
         assert_eq!(FREE_WORDS_CEILING, dtrack_testkit::bound::FREE_RUN_HEADROOM);
+    }
+
+    #[test]
+    fn failed_gates_names_each_failure_and_passes_a_clean_set() {
+        let mk = |name: &str, words: u64, wall_ms: f64| SmokeResult {
+            scenario: name.to_owned(),
+            words,
+            messages: 1,
+            wall_ms,
+            items_per_sec: 1e6 / wall_ms,
+        };
+        let passing = vec![
+            mk("direct-det:counter/x", 100, 10.0),
+            mk("facade-det:counter/x", 100, 10.1),
+            mk("trace-base:counter/x", 100, 10.0),
+            mk("traced-off:counter/x", 100, 9.9),
+            mk("free-det:counter/x", 100, 10.0),
+            mk("free-fixed:counter/x", 400, 10.0),
+            mk("free-adaptive:counter/x", 120, 8.0),
+        ];
+        assert_eq!(failed_gates(&passing), Vec::new());
+        // Only the trace pair regresses: exactly that gate is named.
+        let mut slow_trace = passing.clone();
+        slow_trace[3].wall_ms = 10.5;
+        let failed = failed_gates(&slow_trace);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(failed[0].0, "trace");
+        assert!(failed[0].1.contains("1.050x"), "{}", failed[0].1);
+        // Words drift past the ceiling and a slower adaptive cell fail
+        // together, in gate order.
+        let mut drifting = passing.clone();
+        drifting[6].words = 200;
+        drifting[6].items_per_sec = 0.5e5;
+        let names: Vec<_> = failed_gates(&drifting).into_iter().map(|f| f.0).collect();
+        assert_eq!(names, ["adaptive", "words"]);
     }
 
     #[test]

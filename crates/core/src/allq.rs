@@ -18,7 +18,7 @@
 //! partial sums each off by ≤ θm plus one leaf, totalling ≤ εm. This makes
 //! the structure an ε-approximate rank oracle — equivalently an equi-depth
 //! histogram — from which any φ-quantile and (per the paper's reference to
-//! Cormode et al. [7]) the 2ε-approximate heavy hitters can be read off
+//! Cormode et al. \[7\]) the 2ε-approximate heavy hitters can be read off
 //! with **zero** additional communication.
 //!
 //! ## Maintenance
@@ -877,7 +877,7 @@ impl AllQCoordinator {
     }
 
     /// The 2ε-approximate φ-heavy hitters extracted from the structure
-    /// (the paper's observation via [7]): report `x` when the tracked
+    /// (the paper's observation via \[7\]): report `x` when the tracked
     /// frequency `rank(x+1) − rank(x)` is at least `(φ − ε)·n̂`. Candidate
     /// items are the live leaf boundaries — any item heavier than εm/2
     /// ends up isolated in its own unit-width leaf by the split rule.

@@ -132,7 +132,7 @@ pub struct Channel {
 /// Parsed `lint.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Per-rule path-prefix scopes, indexed by [`Rule::index`]. Empty
+    /// Per-rule path-prefix scopes, indexed by `Rule::index`. Empty
     /// vector = rule disabled (never the default).
     pub paths: [Vec<String>; 6],
     /// All `[[allow]]` entries, in file order.

@@ -60,8 +60,7 @@ pub fn surface() -> String {
     line("const dtrack_sim::flow::WIN_MAX: u32");
     line("const dtrack_sim::tracker::TRACE_ENV: &str");
     line("trait dtrack_sim::tracker::Protocol { label sites_hint build query answers }");
-    line("trait dtrack_sim::tracker::ErasedProtocol { label feed feed_batch ingest settle settle_deadline cost_hint query answers set_trace trace_events trace_dropped cost finish }");
-    line("impl Tracker { builder protocol_label backend_kind num_sites feed feed_batch ingest settle settle_deadline cost_hint query answers cost set_trace trace_events trace_dropped trace_summary export_trace finish }");
+    line("impl Tracker { builder protocol_label backend_kind num_sites feed feed_batch ingest settle settle_deadline cost_hint query answers cost set_trace trace_events trace_dropped export_trace finish }");
     line("impl TrackerBuilder { sites backend site_queue_cap flow_control settle_deadline trace protocol build }");
     line("enum BackendKind { Deterministic Sharded{workers} }");
     line("enum TrackerError { Protocol MissingSiteCount SiteCountMismatch InvalidConfig{knob,detail} Sim }");
@@ -70,21 +69,6 @@ pub fn surface() -> String {
     line("impl Answer { as_count as_quantile as_items }");
     line("impl FlowControlConfig { fixed validate }");
     line("impl AimdController { new config window clean_run drift_site drift_all stats }");
-    line("");
-
-    line("## backends");
-    line(&format!(
-        "type {}",
-        // Instantiated with the probe protocol below just to name it.
-        base_name::<crate::DeterministicBackend<probe::PSite, probe::PCoord>>()
-    ));
-    line(&format!(
-        "type {}",
-        base_name::<crate::ShardedBackend<probe::PSite, probe::PCoord>>()
-    ));
-    line("trait dtrack_sim::backend::Backend { feed feed_batch ingest settle settle_deadline cost_hint flow_control with_coordinator inject_fault set_trace trace_events trace_dropped cost finish }");
-    line("fn dtrack_sim::backend::ShardedBackend::spawn_with(sites, coordinator, config)");
-    line("fn dtrack_sim::backend::ShardedBackend::set_flow_control(config)");
     line("");
 
     line("## model substrate");
@@ -199,8 +183,6 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
         .flow_control(crate::FlowControlConfig::default())
         .settle_deadline(std::time::Duration::from_secs(30));
     let _ = builder;
-    let _ = crate::ShardedBackend::<probe::PSite, probe::PCoord>::spawn_with;
-    let _ = crate::ShardedBackend::<probe::PSite, probe::PCoord>::set_flow_control;
     let _ = crate::sharded::RunTicket::wait_timeout;
     let _: crate::ShardedConfig = crate::ShardedConfig::default();
     let _: usize = crate::sharded::default_workers();
@@ -231,9 +213,8 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
     tracker.set_trace(crate::TraceConfig::on().with_ring_capacity(1024));
     let events: Vec<crate::TraceEvent> = tracker.trace_events();
     let _: u64 = tracker.trace_dropped();
-    let summary: crate::TraceSummary = tracker.trace_summary();
+    let summary = crate::TraceSummary::from_events(&events, 0);
     let _: u64 = summary.count("up-hop");
-    let _ = crate::TraceSummary::from_events(&events, 0);
     let _ = crate::merge_snapshots(vec![events.clone()]);
     let _ = crate::canonical_kind_order("a", "b");
     crate::export_chrome(&events, Vec::new())?;
@@ -255,7 +236,7 @@ mod tests {
     fn surface_is_nonempty_and_names_the_facade() {
         let s = surface();
         assert!(s.contains("type dtrack_sim::tracker::Tracker"));
-        assert!(s.contains("trait dtrack_sim::backend::Backend"));
+        assert!(s.contains("trait dtrack_sim::tracker::Protocol"));
         assert!(s.lines().count() > 20);
     }
 }

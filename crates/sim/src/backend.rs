@@ -1,26 +1,25 @@
-//! Runtime-agnostic driving surface: the [`Backend`] trait and its
-//! implementations.
+//! The two runtimes under [`crate::Tracker`], and the fault vocabulary
+//! they share.
 //!
-//! A backend owns `k` [`Site`] state machines plus one [`Coordinator`]
-//! and carries their messages. The [`Backend`] trait is the *only*
-//! surface the [`crate::Tracker`] facade (and the testkit's generic
-//! scenario drivers) need, so a new runtime means one new impl here and
-//! zero changes anywhere above.
+//! A runtime owns one [`Protocol`]'s `k` [`Site`](crate::Site) state
+//! machines and its [`Coordinator`](crate::Coordinator), carries their
+//! messages, and answers [`Query`]s
+//! against its coordinator. The facade holds it behind the crate-private,
+//! object-safe `Runtime` trait: items are `u64`, coordinator reads are
+//! the [`Query`] → [`Answer`] algebra, and teardown returns only the
+//! meter. Two runtimes implement it, each for every [`Protocol`]:
 //!
-//! Two implementations exist:
-//!
-//! * [`DeterministicBackend`] wraps [`Cluster`]: single-threaded, every
+//! * `DeterministicBackend` wraps [`Cluster`]: single-threaded, every
 //!   arrival drained to quiescence, the transcript the paper's theorems
 //!   are metered against. `settle` is a no-op (the system is always
 //!   quiescent between calls).
-//! * [`ShardedBackend`] wraps [`crate::sharded::ShardedCluster`]: any
-//!   number of logical sites multiplexed onto a fixed work-stealing
-//!   worker pool. `feed_batch` uses the transcript-identical
-//!   site-at-a-time schedule; [`Backend::ingest`] uses free-running
-//!   per-site runs paced by an AIMD window (the adaptive flow-control
-//!   discipline that keeps feedback-starved sites from
-//!   over-communicating lives *here*, so every caller gets it for free —
-//!   see [`crate::flow`]).
+//! * `ShardedBackend` wraps [`ShardedCluster`]: any number of logical
+//!   sites multiplexed onto a fixed work-stealing worker pool.
+//!   `feed_batch` uses the transcript-identical site-at-a-time schedule;
+//!   `ingest` uses free-running per-site runs paced by an AIMD window
+//!   (the adaptive flow-control discipline that keeps feedback-starved
+//!   sites from over-communicating lives *here*, so every caller gets it
+//!   for free — see [`crate::flow`]).
 
 #![deny(missing_docs)]
 
@@ -36,11 +35,14 @@ use crate::cluster::Cluster;
 use crate::error::SimError;
 use crate::flow::{AimdController, FlowControlConfig, FlowControlStats};
 use crate::meter::MessageMeter;
-use crate::proto::{Coordinator, Site, SiteId};
+use crate::proto::SiteId;
+use crate::query::{Answer, Query, QueryError};
 use crate::sharded::{RunTicket, ShardedCluster, ShardedConfig};
+use crate::tracker::Protocol;
 
-/// One injectable fault, applied through [`Backend::inject_fault`] so
-/// every runtime honors the same hostile-scenario vocabulary.
+/// One injectable fault, applied through
+/// [`crate::Tracker::inject_fault`] so every runtime honors the same
+/// hostile-scenario vocabulary.
 ///
 /// The semantics are deliberately *administrative* — faults perturb the
 /// environment (membership, timing), never the protocol state machines —
@@ -73,166 +75,83 @@ pub enum FaultEvent {
     },
 }
 
-/// A runtime that can drive one protocol instance: deliver items, reach
-/// quiescence, answer coordinator queries, meter communication, and tear
-/// down.
-///
-/// All methods take `&mut self` even where an implementation could accept
-/// `&self` (the pool's queues are `Sync`): the facade serializes callers
-/// anyway, and `&mut` keeps the deterministic and pool signatures
-/// identical.
-pub trait Backend<S, C>: Sized
-where
-    S: Site,
-    S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
-{
-    /// Deliver one item to one site.
-    ///
-    /// Deterministic: runs all triggered communication to quiescence
-    /// before returning. Pool: enqueues and returns (backpressure blocks
-    /// only when the site's queue is full).
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError>;
-
-    /// Deliver a pre-assigned batch on a site-at-a-time schedule whose
-    /// transcript (answers *and* metered words) is bit-identical to
-    /// calling [`Backend::feed`] once per pair on the deterministic
-    /// backend.
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError>;
-
-    /// Deliver a whole same-site run for free-running consumption — the
-    /// maximum-throughput path. Arrivals may interleave with in-flight
-    /// communication, so the transcript is *not* pinned; the ε-guarantee
-    /// still holds at quiescence. Implementations bound how far a site
-    /// may run ahead of coordinator feedback (the pool keeps an adaptive
-    /// AIMD run-length window per site; items may be buffered until the
-    /// next `ingest`, `settle`, or `finish`). A killed or out-of-range
-    /// site is rejected before anything is buffered.
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError>;
-
-    /// Block until no message is queued or in flight anywhere. Queries
-    /// are meaningful (and meters consistent) only at quiescence.
+/// One protocol instance on one runtime, with its types erased: the
+/// only surface [`crate::Tracker`] drives. Message types stay concrete
+/// inside each implementation, so the facade costs one virtual call per
+/// batch or read, never per message. A method named like a `Tracker`
+/// method behaves as documented there, except that reads do not settle
+/// first (the facade does that).
+pub(crate) trait Runtime: Send {
+    fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError>;
+    fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError>;
+    fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError>;
     fn settle(&mut self);
-
-    /// Deadline-aware [`Backend::settle`]: wait for quiescence at most
-    /// `deadline`, then degrade to [`SimError::Timeout`] instead of an
-    /// unbounded park — the graceful-degradation path for stalled or
-    /// wedged sites. The runtime stays usable after a timeout. The
-    /// deterministic backend is always quiescent, so the default simply
-    /// settles and succeeds.
-    fn settle_deadline(&mut self, _deadline: Duration) -> Result<(), SimError> {
-        self.settle();
-        Ok(())
-    }
-
-    /// Install the flow controller's reference communication rate
-    /// (expected metered words per fed item, e.g. the protocol's word
-    /// budget divided by the stream length). Free-running ingest compares
-    /// observed words-per-item against this rate to detect drift; without
-    /// a hint, only the backpressure signal adapts windows. No-op on
-    /// backends without a flow controller.
-    fn cost_hint(&mut self, _words_per_item: f64) {}
-
-    /// Snapshot the free-running flow controller's observable state, or
-    /// `None` on backends without one (the deterministic backend needs no
-    /// flow control — it is always quiescent).
-    fn flow_control(&self) -> Option<FlowControlStats> {
-        None
-    }
-
-    /// Run a closure against the coordinator state and return its result.
-    /// Call [`Backend::settle`] first if the query must observe a
-    /// quiescent state.
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static;
-
-    /// Apply one fault (see [`FaultEvent`] for the cross-backend
-    /// semantics). Inject at quiescent points — after [`Backend::settle`]
-    /// or between `feed_batch` chunks — so the fault's position in the
-    /// transcript is deterministic.
+    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError>;
+    fn cost_hint(&mut self, words_per_item: f64);
+    /// The free-running flow controller's state, `None` without one.
+    fn flow_control(&self) -> Option<FlowControlStats>;
+    /// Answer one protocol query against the coordinator as it stands.
+    fn query(&self, query: Query) -> Result<Answer, QueryError>;
+    fn answers(&self) -> Result<Vec<Answer>, QueryError>;
     fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError>;
-
-    /// Apply a trace configuration (see [`TraceConfig`]). Takes effect
-    /// for events recorded after the call; enabling before the first
-    /// feed yields a complete stream (the configuration store
-    /// happens-before the workers' next command receive). The default is
-    /// a no-op for backends without tracing.
-    fn set_trace(&mut self, _config: TraceConfig) {}
-
-    /// Merged, clock-ordered snapshot of every recorded trace event.
-    /// Non-destructive; call after [`Backend::settle`] for a consistent
-    /// stream. Empty when tracing was never enabled.
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    /// Trace events lost to ring-buffer overwrite so far (the rings keep
-    /// the newest events; see `dtrack-trace`'s overflow policy).
-    fn trace_dropped(&mut self) -> u64 {
-        0
-    }
-
-    /// Snapshot the communication meter (merged across threads where
-    /// applicable). Call after [`Backend::settle`] for a consistent
-    /// picture.
-    fn cost(&mut self) -> MessageMeter;
-
-    /// Tear down, returning the final coordinator, sites, and meter.
-    fn finish(self) -> Result<(C, Vec<S>, MessageMeter), SimError>;
+    fn set_trace(&mut self, config: TraceConfig);
+    fn trace_events(&self) -> Vec<TraceEvent>;
+    fn trace_dropped(&self) -> u64;
+    fn cost(&self) -> MessageMeter;
+    fn finish(self: Box<Self>) -> Result<MessageMeter, SimError>;
 }
 
-/// The single-threaded, transcript-pinned backend (wraps [`Cluster`]).
-pub struct DeterministicBackend<S, C>
-where
-    S: Site,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
-{
-    cluster: Cluster<S, C>,
-    /// Scratch for [`Backend::ingest`]'s (site, item) pairing.
-    run_buf: Vec<(SiteId, S::Item)>,
+/// Record `fault` on the driver lane once the runtime has applied it:
+/// the fault schedule's position in the stream is part of the
+/// transcript.
+fn trace_fault(tracer: &mut SiteTracer, fault: FaultEvent) {
+    tracer.record(match fault {
+        FaultEvent::KillSite { site } => TraceEventKind::SiteKilled { site: site.0 },
+        FaultEvent::StallSite { site, micros } => TraceEventKind::SiteStalled {
+            site: site.0,
+            micros,
+        },
+    });
+}
+
+/// The single-threaded, transcript-pinned runtime (wraps [`Cluster`]).
+pub(crate) struct DeterministicBackend<P: Protocol> {
+    protocol: P,
+    cluster: Cluster<P::Site, P::Coordinator>,
+    /// Scratch for `ingest`'s (site, item) pairing.
+    run_buf: Vec<(SiteId, u64)>,
     /// Driver-lane tracer: settle boundaries and fault events.
     tracer: SiteTracer,
 }
 
-impl<S, C> DeterministicBackend<S, C>
-where
-    S: Site,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
-{
-    /// Build the backend from pre-constructed protocol state.
-    pub fn new(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
+impl<P: Protocol> DeterministicBackend<P> {
+    /// Build the runtime from `protocol`'s constructed state.
+    pub(crate) fn new(
+        protocol: P,
+        sites: Vec<P::Site>,
+        coordinator: P::Coordinator,
+    ) -> Result<Self, SimError> {
         let cluster = Cluster::new(sites, coordinator)?;
         let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
         Ok(DeterministicBackend {
+            protocol,
             cluster,
             run_buf: Vec::new(),
             tracer,
         })
     }
-
-    /// The wrapped cluster (typed access for tests and adversaries).
-    pub fn cluster(&self) -> &Cluster<S, C> {
-        &self.cluster
-    }
 }
 
-impl<S, C> Backend<S, C> for DeterministicBackend<S, C>
-where
-    S: Site,
-    S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
-{
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError> {
+impl<P: Protocol> Runtime for DeterministicBackend<P> {
+    fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError> {
         self.cluster.feed(site, item)
     }
 
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
+    fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError> {
         self.cluster.feed_batch(batch)
     }
 
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
+    fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError> {
         // Free-running and quiescent delivery coincide on a single
         // thread; reuse the batched same-site run path.
         self.run_buf.clear();
@@ -248,54 +167,56 @@ where
         self.tracer.record(TraceEventKind::SettleEnd { micros: 0 });
     }
 
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        match fault {
-            FaultEvent::KillSite { site } => {
-                self.cluster.kill_site(site)?;
-                self.tracer
-                    .record(TraceEventKind::SiteKilled { site: site.0 });
-                Ok(())
-            }
-            // No clocks on the deterministic backend: a stall is a pure
-            // timing fault and timing does not exist here. Still traced —
-            // the fault schedule's position in the stream is part of the
-            // transcript.
-            FaultEvent::StallSite { site, micros } => {
-                self.tracer.record(TraceEventKind::SiteStalled {
-                    site: site.0,
-                    micros,
-                });
-                Ok(())
-            }
-        }
+    fn settle_deadline(&mut self, _deadline: Duration) -> Result<(), SimError> {
+        self.settle();
+        Ok(())
     }
 
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
-    {
-        Ok(f(self.cluster.coordinator_mut()))
+    fn cost_hint(&mut self, _words_per_item: f64) {
+        // No flow controller: nothing runs free, so nothing can drift.
+    }
+
+    fn flow_control(&self) -> Option<FlowControlStats> {
+        None
+    }
+
+    fn query(&self, query: Query) -> Result<Answer, QueryError> {
+        self.protocol.query(self.cluster.coordinator(), query)
+    }
+
+    fn answers(&self) -> Result<Vec<Answer>, QueryError> {
+        self.protocol.answers(self.cluster.coordinator())
+    }
+
+    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
+        // No clocks here: a stall is a pure timing fault, so only its
+        // trace event remains.
+        if let FaultEvent::KillSite { site } = fault {
+            self.cluster.kill_site(site)?;
+        }
+        trace_fault(&mut self.tracer, fault);
+        Ok(())
     }
 
     fn set_trace(&mut self, config: TraceConfig) {
         self.cluster.set_trace(config);
     }
 
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
+    fn trace_events(&self) -> Vec<TraceEvent> {
         merge_snapshots(vec![self.cluster.trace_events(), self.tracer.snapshot()])
     }
 
-    fn trace_dropped(&mut self) -> u64 {
+    fn trace_dropped(&self) -> u64 {
         self.cluster.trace_dropped() + self.tracer.dropped()
     }
 
-    fn cost(&mut self) -> MessageMeter {
+    fn cost(&self) -> MessageMeter {
         self.cluster.meter().clone()
     }
 
-    fn finish(self) -> Result<(C, Vec<S>, MessageMeter), SimError> {
-        Ok(self.cluster.into_parts())
+    fn finish(self: Box<Self>) -> Result<MessageMeter, SimError> {
+        let (_coordinator, _sites, meter) = self.cluster.into_parts();
+        Ok(meter)
     }
 }
 
@@ -310,9 +231,14 @@ const DRIFT_FACTOR: f64 = 1.25;
 /// at high site counts a sparse probe lets growth outrun control.
 const SAMPLE_ITEMS: u64 = 2048;
 
-/// The per-site AIMD flow-control window behind the pool's
-/// [`Backend::ingest`] (the successor of the fixed one-run-per-site
-/// ticket window).
+/// How long a full-buffer flush waits on a site's previous run before
+/// treating the site as backpressured (the per-site drift signal). The
+/// congestion stall fires the same signal after this wait and gives up
+/// after 50 of them.
+const BACKPRESSURE_WAIT: Duration = Duration::from_millis(2);
+
+/// The per-site AIMD flow-control window behind the pool's free-running
+/// `ingest` (the successor of the fixed one-run-per-site ticket window).
 ///
 /// Each site keeps at most one outstanding run plus a small buffer of
 /// not-yet-enqueued items. Run length follows the site's
@@ -322,17 +248,17 @@ const SAMPLE_ITEMS: u64 = 2048;
 /// [`ShardedCluster::ingest_run`]).
 ///
 /// Buffered items become visible at the next flush point — any further
-/// `ingest` for the site, or `settle`/`finish`/`inject_fault`, all of
-/// which flush. The settled `feed_batch` path never touches this type,
-/// so golden transcripts are unaffected.
-struct AimdWindow<I> {
+/// `ingest` for the site, or a settle, fault or `finish`, all of which
+/// flush. The settled `feed_batch` path never touches this type, so
+/// golden transcripts are unaffected.
+struct AimdWindow {
     controller: AimdController,
     tickets: Vec<Option<RunTicket>>,
-    buffers: Vec<Vec<I>>,
+    buffers: Vec<Vec<u64>>,
     /// Driver-lane tracer for window changes and backpressure waits.
     tracer: SiteTracer,
-    /// Reference words-per-item installed via [`Backend::cost_hint`];
-    /// `None` disables the rate-drift signal.
+    /// Reference words-per-item installed by `cost_hint`; `None`
+    /// disables the rate-drift signal.
     ref_rate: Option<f64>,
     /// Items handed to the cluster so far (probe pacing).
     flushed_items: u64,
@@ -340,7 +266,7 @@ struct AimdWindow<I> {
     last_probe_words: u64,
 }
 
-impl<I> AimdWindow<I> {
+impl AimdWindow {
     fn new(k: usize, config: FlowControlConfig, tracer: SiteTracer) -> Self {
         AimdWindow {
             controller: AimdController::new(k, config),
@@ -366,20 +292,6 @@ impl<I> AimdWindow<I> {
         }
     }
 
-    /// Swap in a new configuration (resets windows to the new initial;
-    /// call before ingesting).
-    fn set_config(&mut self, config: FlowControlConfig) {
-        self.controller = AimdController::new(self.buffers.len(), config);
-    }
-
-    fn set_ref_rate(&mut self, words_per_item: f64) {
-        self.ref_rate = Some(words_per_item);
-    }
-
-    fn stats(&self) -> FlowControlStats {
-        self.controller.stats()
-    }
-
     /// Buffer `items` for `site` (already checked by the caller to be in
     /// range and live) and pump the window: enqueue
     /// window-sized runs whenever the site's previous run has resolved,
@@ -388,8 +300,8 @@ impl<I> AimdWindow<I> {
     fn ingest(
         &mut self,
         site: SiteId,
-        mut items: Vec<I>,
-        mut enqueue: impl FnMut(Vec<I>) -> Result<RunTicket, SimError>,
+        mut items: Vec<u64>,
+        mut enqueue: impl FnMut(Vec<u64>) -> Result<RunTicket, SimError>,
         mut probe_words: impl FnMut() -> u64,
         mut probe_backlog: impl FnMut() -> u64,
     ) -> Result<(), SimError> {
@@ -412,22 +324,22 @@ impl<I> AimdWindow<I> {
     /// lead; this bounds the *sum* — the quantity that actually backs up
     /// the shared coordinator when sites outnumber cores. A sustained
     /// stall fires the per-site drift signal once, and the wait is
-    /// bounded (50 × `backpressure_wait`) so a wedged cluster degrades
+    /// bounded (50 × [`BACKPRESSURE_WAIT`]) so a wedged cluster degrades
     /// into the queues' own backpressure instead of hanging here.
     fn stall_for_backlog(&mut self, idx: usize, probe_backlog: &mut impl FnMut() -> u64) {
-        let config = *self.controller.config();
-        if config.inflight_cap == 0 || probe_backlog() <= u64::from(config.inflight_cap) {
+        let cap = u64::from(self.controller.config().inflight_cap);
+        if cap == 0 || probe_backlog() <= cap {
             return;
         }
         let started = Instant::now();
         let mut drifted = false;
         loop {
             std::thread::yield_now();
-            if probe_backlog() <= u64::from(config.inflight_cap) {
+            if probe_backlog() <= cap {
                 return;
             }
             let waited = started.elapsed();
-            if !drifted && waited >= config.backpressure_wait {
+            if !drifted && waited >= BACKPRESSURE_WAIT {
                 let before = self.controller.window(idx);
                 self.controller.drift_site(idx);
                 self.tracer
@@ -435,7 +347,7 @@ impl<I> AimdWindow<I> {
                 self.trace_window_change(idx, before);
                 drifted = true;
             }
-            if waited >= config.backpressure_wait * 50 {
+            if waited >= BACKPRESSURE_WAIT * 50 {
                 return;
             }
             std::thread::sleep(Duration::from_micros(100));
@@ -448,7 +360,7 @@ impl<I> AimdWindow<I> {
     fn pump(
         &mut self,
         idx: usize,
-        enqueue: &mut impl FnMut(Vec<I>) -> Result<RunTicket, SimError>,
+        enqueue: &mut impl FnMut(Vec<u64>) -> Result<RunTicket, SimError>,
     ) -> Result<(), SimError> {
         loop {
             let win = self.controller.window(idx) as usize;
@@ -466,8 +378,7 @@ impl<I> AimdWindow<I> {
                     // A full window is waiting on a slow consumer. Wait
                     // out the run, treating a long wait as backpressure
                     // (the per-site drift signal).
-                    let wait = self.controller.config().backpressure_wait;
-                    match ticket.0.recv_timeout(wait) {
+                    match ticket.0.recv_timeout(BACKPRESSURE_WAIT) {
                         Ok(()) => {
                             let before = self.controller.window(idx);
                             self.controller.clean_run(idx);
@@ -495,7 +406,7 @@ impl<I> AimdWindow<I> {
             }
             let win = self.controller.window(idx) as usize;
             let buf = &mut self.buffers[idx];
-            let run: Vec<I> = if buf.len() <= win {
+            let run: Vec<u64> = if buf.len() <= win {
                 std::mem::take(buf)
             } else {
                 buf.drain(..win).collect()
@@ -550,7 +461,7 @@ impl<I> AimdWindow<I> {
     /// it up front, and `inject_fault` flushes before it kills); a site
     /// whose handler panicked rejects its run, and the items are dropped
     /// with the error — the death itself surfaces at `finish`.
-    fn flush(&mut self, mut enqueue: impl FnMut(SiteId, Vec<I>) -> Result<RunTicket, SimError>) {
+    fn flush(&mut self, mut enqueue: impl FnMut(SiteId, Vec<u64>) -> Result<RunTicket, SimError>) {
         for idx in 0..self.buffers.len() {
             if self.buffers[idx].is_empty() {
                 continue;
@@ -561,10 +472,6 @@ impl<I> AimdWindow<I> {
                 self.tickets[idx] = Some(ticket);
             }
         }
-    }
-
-    fn clear(&mut self) {
-        self.tickets.clear();
     }
 }
 
@@ -594,88 +501,74 @@ fn settle_end(tracer: &mut SiteTracer, started: Option<Instant>) {
     }
 }
 
-/// The work-stealing pool backend (wraps [`ShardedCluster`]): a fixed
+/// The work-stealing pool runtime (wraps [`ShardedCluster`]): a fixed
 /// worker count serving any number of logical sites.
-pub struct ShardedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    cluster: ShardedCluster<S, C>,
-    window: AimdWindow<S::Item>,
+pub(crate) struct ShardedBackend<P: Protocol> {
+    /// Shared with the coordinator thread by each read, which clones the
+    /// `Arc`, never the protocol.
+    protocol: Arc<P>,
+    cluster: ShardedCluster<P::Site, P::Coordinator>,
+    window: AimdWindow,
     /// Driver-lane tracer: settle phases and fault events.
     tracer: SiteTracer,
 }
 
-impl<S, C> ShardedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    /// Spawn the default pool (one worker per core) from pre-constructed
-    /// protocol state.
-    pub fn spawn(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
-        Self::spawn_with(sites, coordinator, ShardedConfig::default())
-    }
-
-    /// Spawn with an explicit worker count and queue capacity.
-    pub fn spawn_with(
-        sites: Vec<S>,
-        coordinator: C,
+impl<P: Protocol> ShardedBackend<P> {
+    /// Spawn the pool `config` describes over `protocol`'s constructed
+    /// state, with free-running ingest paced by `flow`.
+    pub(crate) fn spawn(
+        protocol: P,
+        sites: Vec<P::Site>,
+        coordinator: P::Coordinator,
         config: ShardedConfig,
+        flow: FlowControlConfig,
     ) -> Result<Self, SimError> {
         let k = sites.len();
         let cluster = ShardedCluster::spawn_with(sites, coordinator, config)?;
-        let window = AimdWindow::new(
-            k,
-            FlowControlConfig::default(),
-            SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver),
-        );
-        let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
+        let driver = || SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
         Ok(ShardedBackend {
+            protocol: Arc::new(protocol),
+            window: AimdWindow::new(k, flow, driver()),
+            tracer: driver(),
             cluster,
-            window,
-            tracer,
         })
     }
 
-    /// Replace the free-running flow-control configuration (resets every
-    /// window to the configuration's initial value; call before
-    /// ingesting).
-    pub fn set_flow_control(&mut self, config: FlowControlConfig) {
-        self.window.set_config(config);
+    /// Enqueue every buffered free-running run, so items stay ordered per
+    /// site across delivery paths and faults land after them.
+    fn flush(&mut self) {
+        let cluster = &self.cluster;
+        self.window.flush(|site, run| cluster.ingest_run(site, run));
+    }
+
+    /// Tail-flush buffered runs, then run one quiescence `wait` inside a
+    /// traced settle phase. The pending counter covers queued runs (each
+    /// `Run` command holds a token until fully consumed), so waiting for
+    /// quiescence also waits out every outstanding ticket.
+    fn settle_with<R>(
+        &mut self,
+        wait: impl FnOnce(&ShardedCluster<P::Site, P::Coordinator>) -> R,
+    ) -> R {
+        self.flush();
+        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
+        let result = wait(&self.cluster);
+        settle_end(&mut self.tracer, started);
+        result
     }
 }
 
-impl<S, C> Backend<S, C> for ShardedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError> {
-        // Flush buffered free-running runs first so items stay ordered
-        // per site even when callers mix ingest and feed.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
+impl<P: Protocol> Runtime for ShardedBackend<P> {
+    fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError> {
+        self.flush();
         self.cluster.feed(site, item)
     }
 
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
+    fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError> {
+        self.flush();
         self.cluster.feed_batch(batch)
     }
 
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
+    fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError> {
         // Reject a killed or out-of-range site up front: once buffered,
         // items only reach the cluster at a later flush, which has no
         // caller left to hand the error to.
@@ -691,70 +584,50 @@ where
     }
 
     fn settle(&mut self) {
-        // Tail-flush buffered runs, then wait: the pending counter covers
-        // queued runs (each `Run` command holds a token until fully
-        // consumed), so waiting for quiescence also waits out every
-        // outstanding ticket.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        self.cluster.settle();
-        settle_end(&mut self.tracer, started);
+        self.settle_with(|cluster| cluster.settle());
     }
 
     fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        let result = self.cluster.settle_deadline(deadline);
-        settle_end(&mut self.tracer, started);
-        result
+        self.settle_with(|cluster| cluster.settle_deadline(deadline))
     }
 
     fn cost_hint(&mut self, words_per_item: f64) {
-        self.window.set_ref_rate(words_per_item);
+        self.window.ref_rate = Some(words_per_item);
     }
 
     fn flow_control(&self) -> Option<FlowControlStats> {
-        Some(self.window.stats())
+        Some(self.window.controller.stats())
+    }
+
+    fn query(&self, query: Query) -> Result<Answer, QueryError> {
+        let protocol = Arc::clone(&self.protocol);
+        self.cluster
+            .with_coordinator(move |c| protocol.query(c, query))
+            .map_err(QueryError::Runtime)?
+    }
+
+    fn answers(&self) -> Result<Vec<Answer>, QueryError> {
+        let protocol = Arc::clone(&self.protocol);
+        self.cluster
+            .with_coordinator(move |c| protocol.answers(c))
+            .map_err(QueryError::Runtime)?
     }
 
     fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        // Flush so the fault's position relative to already-ingested
-        // items is deterministic.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
+        self.flush();
         match fault {
-            FaultEvent::KillSite { site } => {
-                self.cluster.kill_site(site)?;
-                self.tracer
-                    .record(TraceEventKind::SiteKilled { site: site.0 });
-                Ok(())
-            }
-            FaultEvent::StallSite { site, micros } => {
-                self.cluster.stall_site(site, micros)?;
-                self.tracer.record(TraceEventKind::SiteStalled {
-                    site: site.0,
-                    micros,
-                });
-                Ok(())
-            }
+            FaultEvent::KillSite { site } => self.cluster.kill_site(site)?,
+            FaultEvent::StallSite { site, micros } => self.cluster.stall_site(site, micros)?,
         }
-    }
-
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
-    {
-        self.cluster.with_coordinator(f)
+        trace_fault(&mut self.tracer, fault);
+        Ok(())
     }
 
     fn set_trace(&mut self, config: TraceConfig) {
         self.cluster.set_trace(config);
     }
 
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
+    fn trace_events(&self) -> Vec<TraceEvent> {
         merge_snapshots(vec![
             self.cluster.trace_events(),
             self.tracer.snapshot(),
@@ -762,47 +635,46 @@ where
         ])
     }
 
-    fn trace_dropped(&mut self) -> u64 {
+    fn trace_dropped(&self) -> u64 {
         self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer.dropped()
     }
 
-    fn cost(&mut self) -> MessageMeter {
+    fn cost(&self) -> MessageMeter {
         self.cluster.cost()
     }
 
-    fn finish(mut self) -> Result<(C, Vec<S>, MessageMeter), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.window.clear();
-        self.cluster.shutdown()
+    fn finish(mut self: Box<Self>) -> Result<MessageMeter, SimError> {
+        self.flush();
+        let (_coordinator, _sites, meter) = self.cluster.shutdown()?;
+        Ok(meter)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::proto::{MessageSize, Outbox};
+    use crate::proto::{Coordinator, MessageSize, Outbox, Site};
 
-    fn pool(workers: usize) -> ShardedConfig {
-        ShardedConfig {
-            workers: Some(workers),
-            ..ShardedConfig::default()
-        }
-    }
+    /// The test protocol every runtime and tracker test drives: sites
+    /// forward every item, the coordinator counts and sums them. `Count`
+    /// is the only protocol query; the answer set is the count, then the
+    /// sum as a `Total`.
+    #[derive(Debug, Clone)]
+    pub(crate) struct CountProtocol;
 
     #[derive(Debug, Default)]
-    struct EchoSite;
+    pub(crate) struct FwdSite;
     #[derive(Debug)]
-    struct Up(u64);
+    pub(crate) struct UpMsg(u64);
     #[derive(Debug)]
-    struct NoDown;
+    pub(crate) struct NoDown;
 
-    impl MessageSize for Up {
+    impl MessageSize for UpMsg {
         fn size_words(&self) -> u64 {
             1
         }
         fn kind(&self) -> &'static str {
-            "b/up"
+            "t/up"
         }
     }
     impl MessageSize for NoDown {
@@ -810,69 +682,112 @@ mod tests {
             1
         }
         fn kind(&self) -> &'static str {
-            "b/down"
+            "t/down"
         }
     }
 
-    impl Site for EchoSite {
+    impl Site for FwdSite {
         type Item = u64;
-        type Up = Up;
+        type Up = UpMsg;
         type Down = NoDown;
-        fn on_item(&mut self, item: u64, out: &mut Vec<Up>) {
-            out.push(Up(item));
+        fn on_item(&mut self, item: u64, out: &mut Vec<UpMsg>) {
+            out.push(UpMsg(item));
         }
-        fn on_message(&mut self, _msg: &NoDown, _out: &mut Vec<Up>) {}
+        fn on_message(&mut self, _msg: &NoDown, _out: &mut Vec<UpMsg>) {}
     }
 
     #[derive(Debug, Default)]
-    struct SumCoord {
+    pub(crate) struct CountCoord {
+        seen: u64,
         sum: u64,
     }
-    impl Coordinator for SumCoord {
-        type Up = Up;
+    impl Coordinator for CountCoord {
+        type Up = UpMsg;
         type Down = NoDown;
-        fn on_message(&mut self, _from: SiteId, msg: Up, _out: &mut Outbox<NoDown>) {
+        fn on_message(&mut self, _from: SiteId, msg: UpMsg, _out: &mut Outbox<NoDown>) {
+            self.seen += 1;
             self.sum += msg.0;
         }
     }
 
-    fn run_backend<B: Backend<EchoSite, SumCoord>>(mut b: B) {
+    impl Protocol for CountProtocol {
+        type Site = FwdSite;
+        type Up = UpMsg;
+        type Down = NoDown;
+        type Coordinator = CountCoord;
+
+        fn label(&self) -> &'static str {
+            "test-count"
+        }
+        fn build(&self, k: u32) -> Result<(Vec<FwdSite>, CountCoord), String> {
+            Ok(((0..k).map(|_| FwdSite).collect(), CountCoord::default()))
+        }
+        fn query(&self, c: &CountCoord, query: Query) -> Result<Answer, QueryError> {
+            match query {
+                Query::Count => Ok(Answer::Count(c.seen)),
+                other => Err(self.unsupported(other)),
+            }
+        }
+        fn answers(&self, c: &CountCoord) -> Result<Vec<Answer>, QueryError> {
+            Ok(vec![Answer::Count(c.seen), Answer::Total(c.sum)])
+        }
+    }
+
+    fn deterministic(k: u32) -> Result<DeterministicBackend<CountProtocol>, SimError> {
+        let (sites, coordinator) = CountProtocol.build(k).unwrap();
+        DeterministicBackend::new(CountProtocol, sites, coordinator)
+    }
+
+    fn sharded(
+        k: u32,
+        workers: usize,
+        flow: FlowControlConfig,
+    ) -> Result<ShardedBackend<CountProtocol>, SimError> {
+        let (sites, coordinator) = CountProtocol.build(k).unwrap();
+        let config = ShardedConfig {
+            workers: Some(workers),
+            ..ShardedConfig::default()
+        };
+        ShardedBackend::spawn(CountProtocol, sites, coordinator, config, flow)
+    }
+
+    /// The count-then-sum answer set after `n` items summing to `sum`.
+    fn counted(n: u64, sum: u64) -> Vec<Answer> {
+        vec![Answer::Count(n), Answer::Total(sum)]
+    }
+
+    fn run_backend(mut b: Box<dyn Runtime>) {
         b.feed(SiteId(0), 1).unwrap();
         b.feed_batch(&[(SiteId(1), 2), (SiteId(1), 3)]).unwrap();
         b.ingest(SiteId(0), vec![4, 5]).unwrap();
         b.ingest(SiteId(0), vec![6]).unwrap();
         b.settle();
-        let sum = b.with_coordinator(|c| c.sum).unwrap();
-        assert_eq!(sum, 21);
-        let meter = b.cost();
-        assert_eq!(meter.kind("b/up").messages, 6);
-        let (coord, sites, meter) = b.finish().unwrap();
-        assert_eq!(coord.sum, 21);
-        assert_eq!(sites.len(), 2);
-        assert_eq!(meter.total_messages(), 6);
+        assert_eq!(b.answers().unwrap(), counted(6, 21));
+        assert_eq!(b.query(Query::Count).unwrap(), Answer::Count(6));
+        assert_eq!(b.cost().kind("t/up").messages, 6);
+        assert_eq!(b.finish().unwrap().total_messages(), 6);
     }
 
     #[test]
     fn deterministic_backend_drives_the_protocol() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_backend(DeterministicBackend::new(sites, SumCoord::default()).unwrap());
+        run_backend(Box::new(deterministic(2).unwrap()));
     }
 
     #[test]
     fn sharded_backend_drives_the_protocol() {
         // Fewer workers than sites and more workers than sites both
-        // satisfy the backend contract.
+        // satisfy the runtime contract.
         for workers in [1usize, 4] {
-            let sites = (0..2).map(|_| EchoSite).collect();
-            let b = ShardedBackend::spawn_with(sites, SumCoord::default(), pool(workers));
-            run_backend(b.unwrap());
+            run_backend(Box::new(
+                sharded(2, workers, FlowControlConfig::default()).unwrap(),
+            ));
         }
     }
 
     /// Identical trace semantics on every backend: untraced runs record
     /// nothing, traced runs carry the hop vocabulary with nondecreasing
     /// merged clocks, and tracing never perturbs the protocol outcome.
-    fn run_traced_backend<B: Backend<EchoSite, SumCoord>>(mut b: B) {
+    fn run_traced_backend(mut b: Box<dyn Runtime>) {
         assert!(
             b.trace_events().is_empty(),
             "untraced backends record nothing"
@@ -882,7 +797,7 @@ mod tests {
         b.feed_batch(&[(SiteId(1), 2), (SiteId(1), 3)]).unwrap();
         b.ingest(SiteId(0), vec![4, 5, 6]).unwrap();
         b.settle();
-        assert_eq!(b.with_coordinator(|c| c.sum).unwrap(), 21);
+        assert_eq!(b.answers().unwrap(), counted(6, 21));
         let events = b.trace_events();
         let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count();
         assert_eq!(count("up-hop"), 6, "one up per item: {events:#?}");
@@ -899,22 +814,20 @@ mod tests {
 
     #[test]
     fn deterministic_backend_traces_the_hop_vocabulary() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_traced_backend(DeterministicBackend::new(sites, SumCoord::default()).unwrap());
+        run_traced_backend(Box::new(deterministic(2).unwrap()));
     }
 
     #[test]
     fn sharded_backend_traces_the_hop_vocabulary() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_traced_backend(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap(),
-        );
+        run_traced_backend(Box::new(
+            sharded(2, 2, FlowControlConfig::default()).unwrap(),
+        ));
     }
 
     /// Identical fault semantics on every backend: a killed site rejects
     /// feeds with `SiteDown`, the rest of the cluster keeps working, a
     /// stall never wedges `settle`, and teardown stays clean.
-    fn run_faulted_backend<B: Backend<EchoSite, SumCoord>>(mut b: B) {
+    fn run_faulted_backend(mut b: Box<dyn Runtime>) {
         b.feed(SiteId(0), 1).unwrap();
         b.feed(SiteId(1), 2).unwrap();
         b.inject_fault(FaultEvent::KillSite { site: SiteId(1) })
@@ -935,39 +848,38 @@ mod tests {
         .unwrap();
         b.feed(SiteId(0), 3).unwrap();
         b.settle();
-        let sum = b.with_coordinator(|c| c.sum).unwrap();
-        assert_eq!(sum, 6);
+        assert_eq!(b.answers().unwrap(), counted(3, 6));
         assert_eq!(
             b.inject_fault(FaultEvent::KillSite { site: SiteId(9) }),
             Err(SimError::NoSuchSite { site: 9, sites: 2 })
         );
-        let (coord, _, _) = b.finish().unwrap();
-        assert_eq!(coord.sum, 6);
+        assert_eq!(b.finish().unwrap().total_messages(), 3);
     }
 
     #[test]
     fn deterministic_backend_honors_fault_injection() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_faulted_backend(DeterministicBackend::new(sites, SumCoord::default()).unwrap());
+        run_faulted_backend(Box::new(deterministic(2).unwrap()));
     }
 
     #[test]
     fn sharded_backend_honors_fault_injection() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_faulted_backend(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap(),
-        );
+        run_faulted_backend(Box::new(
+            sharded(2, 2, FlowControlConfig::default()).unwrap(),
+        ));
     }
 
     #[test]
     fn backends_reject_small_clusters() {
-        assert!(DeterministicBackend::new(vec![EchoSite], SumCoord::default()).is_err());
-        assert!(ShardedBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
+        assert!(deterministic(1).is_err());
+        assert!(sharded(1, 2, FlowControlConfig::default()).is_err());
     }
 
-    /// A stalled site must degrade `settle_deadline` to `Timeout` instead
-    /// of parking unboundedly, and the runtime must stay usable after.
-    fn run_stalled_deadline<B: Backend<EchoSite, SumCoord>>(mut b: B) {
+    #[test]
+    fn sharded_settle_deadline_times_out_under_stall() {
+        // A stalled site must degrade `settle_deadline` to `Timeout`
+        // instead of parking unboundedly, and the runtime must stay
+        // usable after.
+        let mut b = sharded(2, 2, FlowControlConfig::default()).unwrap();
         b.inject_fault(FaultEvent::StallSite {
             site: SiteId(0),
             micros: 300_000,
@@ -978,22 +890,13 @@ mod tests {
         assert!(matches!(err, SimError::Timeout { waited_ms: 20 }));
         // Usable after the timeout: a full settle waits out the stall.
         b.settle();
-        assert_eq!(b.with_coordinator(|c| c.sum).unwrap(), 1);
-        b.finish().unwrap();
-    }
-
-    #[test]
-    fn sharded_settle_deadline_times_out_under_stall() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_stalled_deadline(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap(),
-        );
+        assert_eq!(b.query(Query::Count).unwrap(), Answer::Count(1));
+        Box::new(b).finish().unwrap();
     }
 
     #[test]
     fn deterministic_settle_deadline_always_succeeds() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = DeterministicBackend::new(sites, SumCoord::default()).unwrap();
+        let mut b = deterministic(2).unwrap();
         b.feed(SiteId(0), 1).unwrap();
         assert_eq!(b.settle_deadline(Duration::from_millis(1)), Ok(()));
         assert!(b.flow_control().is_none(), "no controller to observe");
@@ -1001,15 +904,14 @@ mod tests {
 
     #[test]
     fn clean_runs_grow_the_window_between_settles() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap();
-        b.set_flow_control(FlowControlConfig {
+        let flow = FlowControlConfig {
             win_min: 1,
             win_max: 64,
             initial: 1,
             increase: 1,
             ..FlowControlConfig::default()
-        });
+        };
+        let mut b = sharded(2, 2, flow).unwrap();
         for round in 0..4u64 {
             b.ingest(SiteId(0), vec![round]).unwrap();
             // Settling consumes the run, so the next pump observes a
@@ -1023,21 +925,20 @@ mod tests {
             stats.windows[0]
         );
         assert_eq!(stats.windows[1], 1, "idle site's window untouched");
-        b.finish().unwrap();
+        Box::new(b).finish().unwrap();
     }
 
     #[test]
     fn backpressure_on_a_stalled_site_halves_its_window() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = ShardedBackend::spawn_with(sites, SumCoord::default(), pool(2)).unwrap();
-        b.set_flow_control(FlowControlConfig {
+        let flow = FlowControlConfig {
             win_min: 1,
             win_max: 64,
             initial: 4,
             increase: 1,
-            backpressure_wait: Duration::from_millis(1),
             ..FlowControlConfig::default()
-        });
+        };
+        let mut b = sharded(2, 2, flow).unwrap();
+        // The stall outlasts BACKPRESSURE_WAIT many times over.
         b.inject_fault(FaultEvent::StallSite {
             site: SiteId(0),
             micros: 50_000,
@@ -1053,7 +954,7 @@ mod tests {
             "backpressure should fire the drift signal, got {stats}"
         );
         b.settle();
-        assert_eq!(b.with_coordinator(|c| c.sum).unwrap(), 36);
-        b.finish().unwrap();
+        assert_eq!(b.answers().unwrap(), counted(8, 36));
+        Box::new(b).finish().unwrap();
     }
 }

@@ -146,13 +146,6 @@ where
         &self.coordinator
     }
 
-    /// Mutable access to the coordinator (the [`crate::Backend`] query
-    /// path shares one signature with the pool, which hands closures
-    /// `&mut C` on the coordinator's own thread).
-    pub fn coordinator_mut(&mut self) -> &mut C {
-        &mut self.coordinator
-    }
-
     /// Immutable access to a site's state (used by adversaries and tests).
     pub fn site(&self, id: SiteId) -> Option<&S> {
         self.sites.get(id.index())

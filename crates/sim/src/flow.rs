@@ -16,21 +16,20 @@
 //!   exceeds the reference rate installed via `cost_hint` by a fixed
 //!   factor of 1.25 (a global signal — the meter is cluster-wide — so
 //!   every window halves), or when a site's previous run is still
-//!   unconsumed after `backpressure_wait` at the moment its buffer is
+//!   unconsumed after a fixed 2 ms wait at the moment its buffer is
 //!   full (a per-site backpressure signal — only that window halves).
 //!
 //! [`AimdController`] is a *pure* state machine: no clocks, no channels,
 //! no randomness. Feeding two instances the same observation sequence
 //! produces bit-identical traces — that determinism is what the
 //! proptests pin. The racy part (when observations *happen*) lives in
-//! the backends' `AimdWindow`; it only ever changes run boundaries on
+//! the pool runtime's `AimdWindow`; it only ever changes run boundaries on
 //! the free-running `ingest` path, never the settled `feed_batch`
 //! schedule, so golden transcripts are untouched.
 
 #![deny(missing_docs)]
 
 use std::fmt;
-use std::time::Duration;
 
 /// Hard floor for run-length windows (items per run).
 pub const WIN_MIN: u32 = 16;
@@ -54,9 +53,6 @@ pub struct FlowControlConfig {
     /// Additive increase applied to a site's window after each cleanly
     /// completed run (0 freezes the window).
     pub increase: u32,
-    /// How long a full-buffer flush waits on the previous run before
-    /// treating the site as backpressured (per-site drift signal).
-    pub backpressure_wait: Duration,
     /// Cluster-wide in-flight budget (commands plus undelivered protocol
     /// messages): `ingest` stalls the source before enqueuing a new run
     /// while the cluster's quiescence counter is above this, so
@@ -76,7 +72,6 @@ impl Default for FlowControlConfig {
             win_max: WIN_MAX,
             initial: 128,
             increase: 16,
-            backpressure_wait: Duration::from_millis(2),
             inflight_cap: 1024,
         }
     }
@@ -94,7 +89,6 @@ impl FlowControlConfig {
             initial: len,
             increase: 0,
             inflight_cap: 0,
-            ..FlowControlConfig::default()
         }
     }
 

@@ -34,7 +34,8 @@
 //! [`Protocol`] description plus a [`BackendKind`] build one erased handle
 //! that feeds items, settles, answers typed [`Query`]s, and meters cost —
 //! so application code (and the testkit's scenario drivers) never name a
-//! concrete cluster type, and new backends are drop-in [`Backend`] impls.
+//! concrete cluster type. Under the facade, each runtime is one impl of a
+//! crate-private trait (see [`backend`]).
 //!
 //! Every backend also carries the `dtrack-trace` structured-event layer:
 //! item runs, hops, broadcasts, faults, flow-control moves, and settle
@@ -54,7 +55,7 @@ pub mod query;
 pub mod sharded;
 pub mod tracker;
 
-pub use backend::{Backend, DeterministicBackend, FaultEvent, ShardedBackend};
+pub use backend::FaultEvent;
 pub use cluster::Cluster;
 pub use error::SimError;
 pub use flow::{AimdController, FlowControlConfig, FlowControlStats, WIN_MAX, WIN_MIN};
@@ -62,9 +63,7 @@ pub use meter::{CostReport, KindCost, MessageMeter};
 pub use proto::{Coordinator, Down, MessageSize, Outbox, Site, SiteId};
 pub use query::{Answer, Query, QueryError, HH_PROBE_PHIS, PROBE_PHIS};
 pub use sharded::{ShardedCluster, ShardedConfig};
-pub use tracker::{
-    BackendKind, ErasedProtocol, Protocol, Tracker, TrackerBuilder, TrackerError, TRACE_ENV,
-};
+pub use tracker::{BackendKind, Protocol, Tracker, TrackerBuilder, TrackerError, TRACE_ENV};
 
 // The structured-event tracing vocabulary, re-exported so drivers and the
 // testkit can consume trace streams without naming the trace crate.

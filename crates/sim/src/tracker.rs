@@ -19,25 +19,26 @@
 //!   against the coordinator. Implementations live next to each protocol
 //!   (`dtrack-core`, `dtrack-baseline`); the testkit's registry maps its
 //!   `ProtocolSpec` matrix axis onto them in exactly one table.
-//! * [`crate::Backend`] is the *typed* runtime surface (the deterministic
-//!   cluster or the work-stealing pool; a new runtime is a drop-in impl).
-//! * [`ErasedProtocol`] is the object-safe product of the two, and
-//!   [`Tracker`] is a plain struct wrapping `Box<dyn ErasedProtocol>` so
-//!   callers never see a type parameter.
+//! * Each runtime (the deterministic cluster or the work-stealing pool,
+//!   in [`crate::backend`]) implements one crate-private, object-safe
+//!   trait for every `Protocol`. It holds the protocol and answers reads
+//!   against its own coordinator.
+//! * [`Tracker`] is a plain struct over the boxed runtime, so callers
+//!   never see a type parameter. It owns what does not depend on the
+//!   runtime: the deadline-bounded settle before every read, and the two
+//!   runtime queries, [`Query::FlowControl`] and [`Query::Trace`].
 //!
 //! ## Object-safety choices
 //!
-//! `Protocol` and `Backend` are deliberately *not* object-safe: protocol
-//! message types differ per protocol, and `Backend::with_coordinator` is
-//! generic over the closure result. Erasure therefore happens **above**
-//! both traits, in the private `Bound` adapter, where items are pinned to
-//! `u64` (the paper's word-sized universe) and coordinator access is
-//! narrowed to the [`Query`] → [`Answer`] algebra, which *is* object-safe.
-//! Messages themselves are never boxed — inside a `Bound` the site, the
-//! coordinator, and the channel payloads are all concrete types — so the
-//! facade costs one virtual call per *batch/query*, not per message, and
-//! the metered transcript is bit-identical to driving the clusters
-//! directly.
+//! `Protocol` is deliberately *not* object-safe: message types differ per
+//! protocol. Erasure therefore happens in each runtime's impl of the
+//! private trait, where items are pinned to `u64` (the paper's word-sized
+//! universe) and coordinator access is narrowed to the [`Query`] →
+//! [`Answer`] algebra, which *is* object-safe. Messages themselves are
+//! never boxed — inside a runtime the site, the coordinator, and the
+//! channel payloads are all concrete types — so the facade costs one
+//! virtual call per *batch/query*, not per message, and the metered
+//! transcript is bit-identical to driving the clusters directly.
 
 #![deny(missing_docs)]
 
@@ -47,7 +48,7 @@ use std::time::Duration;
 
 use dtrack_trace::{write_chrome_file, TraceConfig, TraceEvent, TraceSummary};
 
-use crate::backend::{Backend, DeterministicBackend, FaultEvent, ShardedBackend};
+use crate::backend::{DeterministicBackend, FaultEvent, Runtime, ShardedBackend};
 use crate::error::SimError;
 use crate::flow::FlowControlConfig;
 use crate::meter::MessageMeter;
@@ -59,9 +60,9 @@ use crate::sharded::{ShardedConfig, SITE_QUEUE_CAP};
 /// query surface over its coordinator.
 ///
 /// The bounds make every protocol runnable on every backend (the pool
-/// needs `Send` state machines and `Send + Sync` downstream messages);
-/// `Clone` lets the facade carry the description into backend threads
-/// for queries.
+/// needs `Send` state machines and `Send + Sync` downstream messages,
+/// and shares the description with its coordinator thread for reads);
+/// `Clone` lets one description build many trackers.
 pub trait Protocol: Clone + Send + Sync + 'static {
     /// Site state machine (items are pinned to `u64`, the paper's
     /// word-sized universe).
@@ -197,172 +198,6 @@ impl From<SimError> for TrackerError {
     }
 }
 
-/// The object-safe protocol-on-backend surface [`Tracker`] wraps.
-///
-/// This is the erased layer: items are `u64`, coordinator access is the
-/// [`Query`] algebra, teardown returns only the meter. Implemented once,
-/// generically, for every ([`Protocol`], [`Backend`]) pair — protocol
-/// and backend authors never touch it.
-pub trait ErasedProtocol: Send {
-    /// Protocol label (see [`Protocol::label`]).
-    fn label(&self) -> &'static str;
-    /// See [`Backend::feed`].
-    fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError>;
-    /// See [`Backend::feed_batch`].
-    fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError>;
-    /// See [`Backend::ingest`].
-    fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError>;
-    /// See [`Backend::settle`].
-    fn settle(&mut self);
-    /// See [`Backend::settle_deadline`].
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError>;
-    /// See [`Backend::cost_hint`].
-    fn cost_hint(&mut self, words_per_item: f64);
-    /// See [`Backend::inject_fault`].
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError>;
-    /// Settle, then answer one typed query.
-    fn query(&mut self, query: Query) -> Result<Answer, QueryError>;
-    /// Settle, then produce the canonical final-answer set.
-    fn answers(&mut self) -> Result<Vec<Answer>, QueryError>;
-    /// See [`Backend::set_trace`].
-    fn set_trace(&mut self, config: TraceConfig);
-    /// Settle, then snapshot the merged clock-ordered trace stream (see
-    /// [`Backend::trace_events`]).
-    fn trace_events(&mut self) -> Vec<TraceEvent>;
-    /// See [`Backend::trace_dropped`].
-    fn trace_dropped(&mut self) -> u64;
-    /// See [`Backend::cost`].
-    fn cost(&mut self) -> MessageMeter;
-    /// Tear down, returning the final merged meter.
-    fn finish(self: Box<Self>) -> Result<MessageMeter, SimError>;
-}
-
-/// The generic (protocol, backend) pairing behind `Box<dyn ErasedProtocol>`.
-struct Bound<P, B> {
-    protocol: P,
-    backend: B,
-    /// Quiescence deadline for queries/answers (from
-    /// [`TrackerBuilder::settle_deadline`]); `None` waits unboundedly.
-    deadline: Option<Duration>,
-}
-
-impl<P, B> Bound<P, B>
-where
-    P: Protocol,
-    B: Backend<P::Site, P::Coordinator> + Send,
-{
-    /// Reach quiescence before a query: bounded by the configured
-    /// deadline when one is set, so a stalled site degrades the query to
-    /// an error instead of parking the caller forever.
-    fn quiesce(&mut self) -> Result<(), SimError> {
-        match self.deadline {
-            Some(deadline) => self.backend.settle_deadline(deadline),
-            None => {
-                self.backend.settle();
-                Ok(())
-            }
-        }
-    }
-}
-
-impl<P, B> ErasedProtocol for Bound<P, B>
-where
-    P: Protocol,
-    B: Backend<P::Site, P::Coordinator> + Send,
-{
-    fn label(&self) -> &'static str {
-        self.protocol.label()
-    }
-
-    fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError> {
-        self.backend.feed(site, item)
-    }
-
-    fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError> {
-        self.backend.feed_batch(batch)
-    }
-
-    fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError> {
-        self.backend.ingest(site, items)
-    }
-
-    fn settle(&mut self) {
-        self.backend.settle();
-    }
-
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        self.backend.settle_deadline(deadline)
-    }
-
-    fn cost_hint(&mut self, words_per_item: f64) {
-        self.backend.cost_hint(words_per_item);
-    }
-
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        self.backend.inject_fault(fault)
-    }
-
-    fn query(&mut self, query: Query) -> Result<Answer, QueryError> {
-        self.quiesce().map_err(QueryError::Runtime)?;
-        // Flow control describes the runtime, not the protocol: answer it
-        // here, before protocol dispatch.
-        if matches!(query, Query::FlowControl) {
-            return match self.backend.flow_control() {
-                Some(stats) => Ok(Answer::FlowControl(stats)),
-                None => Err(QueryError::Unsupported {
-                    protocol: self.protocol.label(),
-                    query,
-                }),
-            };
-        }
-        // So does tracing: the summary reads the runtime's event rings,
-        // never the coordinator. Answerable on every backend; with
-        // tracing off it is simply empty.
-        if matches!(query, Query::Trace) {
-            let events = self.backend.trace_events();
-            let dropped = self.backend.trace_dropped();
-            return Ok(Answer::Trace(TraceSummary::from_events(&events, dropped)));
-        }
-        let protocol = self.protocol.clone();
-        self.backend
-            .with_coordinator(move |c| protocol.query(c, query))
-            .map_err(QueryError::Runtime)?
-    }
-
-    fn answers(&mut self) -> Result<Vec<Answer>, QueryError> {
-        self.quiesce().map_err(QueryError::Runtime)?;
-        let protocol = self.protocol.clone();
-        self.backend
-            .with_coordinator(move |c| protocol.answers(c))
-            .map_err(QueryError::Runtime)?
-    }
-
-    fn set_trace(&mut self, config: TraceConfig) {
-        self.backend.set_trace(config);
-    }
-
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
-        // Quiesce best-effort so the snapshot is complete; a timeout
-        // still yields whatever the rings hold (tracing is diagnostic,
-        // not transactional).
-        let _ = self.quiesce();
-        self.backend.trace_events()
-    }
-
-    fn trace_dropped(&mut self) -> u64 {
-        self.backend.trace_dropped()
-    }
-
-    fn cost(&mut self) -> MessageMeter {
-        self.backend.cost()
-    }
-
-    fn finish(self: Box<Self>) -> Result<MessageMeter, SimError> {
-        let (_coordinator, _sites, meter) = self.backend.finish()?;
-        Ok(meter)
-    }
-}
-
 /// Environment variable steering tracing without a code change:
 /// `DTRACK_TRACE=on` enables in-memory tracing, `DTRACK_TRACE=off` (or
 /// empty/`0`) forces it off, and `DTRACK_TRACE=chrome:<path>` enables it
@@ -434,11 +269,12 @@ impl<P> TrackerBuilder<P> {
         self
     }
 
-    /// Quiescence deadline for [`Tracker::query`]/[`Tracker::answers`]
-    /// (and [`Tracker::settle_deadline`]'s default): a stalled or dead
-    /// site makes the wait return [`SimError::Timeout`] instead of
-    /// parking unboundedly. Default: no deadline (unbounded waits, the
-    /// historical behavior). Must be nonzero.
+    /// Quiescence deadline for the settle before every read
+    /// ([`Tracker::query`], [`Tracker::answers`],
+    /// [`Tracker::trace_events`]): a stalled or dead site degrades the
+    /// read to [`SimError::Timeout`] (a trace read returns what the rings
+    /// hold) instead of parking unboundedly. Default: no deadline
+    /// (unbounded waits, the historical behavior). Must be nonzero.
     pub fn settle_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
@@ -516,42 +352,34 @@ impl<P: Protocol> TrackerBuilder<P> {
             (None, None) => return Err(TrackerError::MissingSiteCount),
         };
         let (sites, coordinator) = self.protocol.build(k).map_err(TrackerError::Protocol)?;
-        let queue_cap = self.queue_cap.unwrap_or(SITE_QUEUE_CAP);
-        let deadline = self.deadline;
+        let label = self.protocol.label();
         let (env_trace, trace_export) = trace_from_env();
-        let trace = self.trace.or(env_trace);
-        let mut inner: Box<dyn ErasedProtocol> = match self.backend {
-            BackendKind::Deterministic => Box::new(Bound {
-                backend: DeterministicBackend::new(sites, coordinator)?,
-                protocol: self.protocol,
-                deadline,
-            }),
-            BackendKind::Sharded { workers } => {
-                let mut backend = ShardedBackend::spawn_with(
-                    sites,
-                    coordinator,
-                    ShardedConfig {
-                        workers,
-                        site_queue_cap: queue_cap,
-                    },
-                )?;
-                if let Some(flow) = self.flow {
-                    backend.set_flow_control(flow);
-                }
-                Box::new(Bound {
-                    backend,
-                    protocol: self.protocol,
-                    deadline,
-                })
-            }
+        let mut inner: Box<dyn Runtime> = match self.backend {
+            BackendKind::Deterministic => Box::new(DeterministicBackend::new(
+                self.protocol,
+                sites,
+                coordinator,
+            )?),
+            BackendKind::Sharded { workers } => Box::new(ShardedBackend::spawn(
+                self.protocol,
+                sites,
+                coordinator,
+                ShardedConfig {
+                    workers,
+                    site_queue_cap: self.queue_cap.unwrap_or(SITE_QUEUE_CAP),
+                },
+                self.flow.unwrap_or_default(),
+            )?),
         };
-        if let Some(config) = trace {
+        if let Some(config) = self.trace.or(env_trace) {
             inner.set_trace(config);
         }
         Ok(Tracker {
             inner,
+            label,
             backend: self.backend,
             k,
+            deadline: self.deadline,
             trace_export,
         })
     }
@@ -561,9 +389,13 @@ impl<P: Protocol> TrackerBuilder<P> {
 /// and a coordinator, on a chosen backend, answering typed queries at any
 /// time — the paper's model as a single handle.
 pub struct Tracker {
-    inner: Box<dyn ErasedProtocol>,
+    inner: Box<dyn Runtime>,
+    label: &'static str,
     backend: BackendKind,
     k: u32,
+    /// Quiescence deadline for reads (from
+    /// [`TrackerBuilder::settle_deadline`]); `None` waits unboundedly.
+    deadline: Option<Duration>,
     /// Chrome trace destination requested via [`TRACE_ENV`]; written
     /// best-effort at [`Tracker::finish`].
     trace_export: Option<PathBuf>,
@@ -572,7 +404,7 @@ pub struct Tracker {
 impl fmt::Debug for Tracker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracker")
-            .field("protocol", &self.inner.label())
+            .field("protocol", &self.label)
             .field("backend", &self.backend)
             .field("k", &self.k)
             .finish()
@@ -587,7 +419,7 @@ impl Tracker {
 
     /// The protocol's label (e.g. `"hh-exact"`).
     pub fn protocol_label(&self) -> &'static str {
-        self.inner.label()
+        self.label
     }
 
     /// Which backend this tracker runs on.
@@ -600,19 +432,26 @@ impl Tracker {
         self.k
     }
 
-    /// Deliver one item to one site (see [`Backend::feed`]).
+    /// Deliver one item to one site. The deterministic backend runs all
+    /// triggered communication to quiescence before returning; the pool
+    /// enqueues and returns, blocking only when the site's queue is full.
     pub fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError> {
         self.inner.feed(site, item)
     }
 
-    /// Deliver a pre-assigned batch on the transcript-identical
-    /// site-at-a-time schedule (see [`Backend::feed_batch`]).
+    /// Deliver a pre-assigned batch on a site-at-a-time schedule whose
+    /// transcript (answers *and* metered words) is bit-identical to
+    /// feeding each pair in turn on the deterministic backend.
     pub fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError> {
         self.inner.feed_batch(batch)
     }
 
-    /// Deliver a same-site run on the free-running throughput path (see
-    /// [`Backend::ingest`]).
+    /// Deliver a same-site run on the free-running throughput path: the
+    /// transcript is not pinned, but the ε-guarantee holds at
+    /// quiescence. The pool paces each site with an AIMD window (see
+    /// [`FlowControlConfig`]) and may buffer items until the next ingest,
+    /// settle, fault or [`Tracker::finish`]. A killed or out-of-range
+    /// site is rejected before anything is buffered.
     pub fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError> {
         self.inner.ingest(site, items)
     }
@@ -631,10 +470,25 @@ impl Tracker {
         self.inner.settle_deadline(deadline)
     }
 
+    /// Reach quiescence before a read: bounded by the builder's
+    /// [`TrackerBuilder::settle_deadline`] when one is set, so a stalled
+    /// site degrades the read to an error instead of parking the caller
+    /// forever.
+    fn quiesce(&mut self) -> Result<(), SimError> {
+        match self.deadline {
+            Some(deadline) => self.inner.settle_deadline(deadline),
+            None => {
+                self.inner.settle();
+                Ok(())
+            }
+        }
+    }
+
     /// Install the flow controller's reference communication rate
-    /// (expected metered words per fed item; see [`Backend::cost_hint`]).
-    /// Free-running ingest compares observed words-per-item against this
-    /// to detect budget drift. No-op on the deterministic backend.
+    /// (expected metered words per fed item). Free-running ingest
+    /// compares observed words-per-item against this to detect budget
+    /// drift; without a hint, only backpressure adapts the windows.
+    /// No-op on the deterministic backend.
     pub fn cost_hint(&mut self, words_per_item: f64) {
         self.inner.cost_hint(words_per_item);
     }
@@ -651,13 +505,33 @@ impl Tracker {
     /// consistent snapshot; costs zero communication (queries
     /// read continuously maintained state).
     pub fn query(&mut self, query: Query) -> Result<Answer, QueryError> {
-        self.inner.query(query)
+        self.quiesce().map_err(QueryError::Runtime)?;
+        match query {
+            // Flow control and tracing describe the runtime, not the
+            // protocol, so no coordinator is asked. The trace summary is
+            // answerable on every backend, and empty with tracing off.
+            Query::FlowControl => {
+                self.inner
+                    .flow_control()
+                    .map(Answer::FlowControl)
+                    .ok_or(QueryError::Unsupported {
+                        protocol: self.label,
+                        query,
+                    })
+            }
+            Query::Trace => Ok(Answer::Trace(TraceSummary::from_events(
+                &self.inner.trace_events(),
+                self.inner.trace_dropped(),
+            ))),
+            _ => self.inner.query(query),
+        }
     }
 
     /// The protocol's canonical final-answer set (settles first).
     /// `Display` of each element reproduces the legacy transcript
     /// strings.
     pub fn answers(&mut self) -> Result<Vec<Answer>, QueryError> {
+        self.quiesce().map_err(QueryError::Runtime)?;
         self.inner.answers()
     }
 
@@ -678,6 +552,9 @@ impl Tracker {
     /// Snapshot the merged, logical-clock-ordered trace event stream
     /// (settles first for a complete picture). Empty when tracing is off.
     pub fn trace_events(&mut self) -> Vec<TraceEvent> {
+        // A settle that times out still yields whatever the rings hold:
+        // tracing is diagnostic, not transactional.
+        let _ = self.quiesce();
         self.inner.trace_events()
     }
 
@@ -687,18 +564,10 @@ impl Tracker {
         self.inner.trace_dropped()
     }
 
-    /// The per-kind/per-phase summary of the current trace stream — the
-    /// same value [`Query::Trace`] answers with.
-    pub fn trace_summary(&mut self) -> TraceSummary {
-        let events = self.inner.trace_events();
-        let dropped = self.inner.trace_dropped();
-        TraceSummary::from_events(&events, dropped)
-    }
-
     /// Export the current trace stream as a Chrome `trace_event` JSON
     /// file (open in `chrome://tracing` or Perfetto). Settles first.
     pub fn export_trace<P: AsRef<Path>>(&mut self, path: P) -> std::io::Result<()> {
-        let events = self.inner.trace_events();
+        let events = self.trace_events();
         write_chrome_file(&events, path)
     }
 
@@ -716,81 +585,7 @@ impl Tracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::Outbox;
-
-    /// Minimal test protocol: sites forward every item, the coordinator
-    /// counts them; `Count` is the only supported query.
-    #[derive(Debug, Clone)]
-    struct CountProtocol;
-
-    #[derive(Debug, Default)]
-    struct FwdSite;
-    #[derive(Debug)]
-    struct UpMsg;
-    #[derive(Debug)]
-    struct NoDown;
-
-    impl MessageSize for UpMsg {
-        fn size_words(&self) -> u64 {
-            1
-        }
-        fn kind(&self) -> &'static str {
-            "t/up"
-        }
-    }
-    impl MessageSize for NoDown {
-        fn size_words(&self) -> u64 {
-            1
-        }
-        fn kind(&self) -> &'static str {
-            "t/down"
-        }
-    }
-
-    impl Site for FwdSite {
-        type Item = u64;
-        type Up = UpMsg;
-        type Down = NoDown;
-        fn on_item(&mut self, _item: u64, out: &mut Vec<UpMsg>) {
-            out.push(UpMsg);
-        }
-        fn on_message(&mut self, _msg: &NoDown, _out: &mut Vec<UpMsg>) {}
-    }
-
-    #[derive(Debug, Default)]
-    struct CountCoord {
-        seen: u64,
-    }
-    impl Coordinator for CountCoord {
-        type Up = UpMsg;
-        type Down = NoDown;
-        fn on_message(&mut self, _from: SiteId, _msg: UpMsg, _out: &mut Outbox<NoDown>) {
-            self.seen += 1;
-        }
-    }
-
-    impl Protocol for CountProtocol {
-        type Site = FwdSite;
-        type Up = UpMsg;
-        type Down = NoDown;
-        type Coordinator = CountCoord;
-
-        fn label(&self) -> &'static str {
-            "test-count"
-        }
-        fn build(&self, k: u32) -> Result<(Vec<FwdSite>, CountCoord), String> {
-            Ok(((0..k).map(|_| FwdSite).collect(), CountCoord::default()))
-        }
-        fn query(&self, c: &CountCoord, query: Query) -> Result<Answer, QueryError> {
-            match query {
-                Query::Count => Ok(Answer::Count(c.seen)),
-                other => Err(self.unsupported(other)),
-            }
-        }
-        fn answers(&self, c: &CountCoord) -> Result<Vec<Answer>, QueryError> {
-            Ok(vec![Answer::Count(c.seen)])
-        }
-    }
+    use crate::backend::tests::{CountCoord, CountProtocol, FwdSite, NoDown, UpMsg};
 
     #[test]
     fn builder_requires_a_site_count() {
@@ -825,7 +620,10 @@ mod tests {
             let answer = t.query(Query::Count).unwrap();
             assert_eq!(answer, Answer::Count(6));
             assert_eq!(answer.to_string(), "estimate=6");
-            assert_eq!(t.answers().unwrap(), vec![Answer::Count(6)]);
+            assert_eq!(
+                t.answers().unwrap(),
+                vec![Answer::Count(6), Answer::Total(30)]
+            );
             let err = t.query(Query::TrackedQuantile).unwrap_err();
             assert!(matches!(err, QueryError::Unsupported { .. }), "{err}");
             t.settle();
@@ -1083,10 +881,19 @@ mod tests {
         })
         .unwrap();
         t.feed(SiteId(0), 1).unwrap();
-        let err = t.query(Query::Count).unwrap_err();
+        // Every read settles under the deadline first, the runtime's own
+        // queries included.
+        for query in [Query::Count, Query::FlowControl, Query::Trace] {
+            let err = t.query(query).unwrap_err();
+            assert!(
+                matches!(err, QueryError::Runtime(SimError::Timeout { .. })),
+                "{query}: {err}"
+            );
+        }
+        let err = t.answers().unwrap_err();
         assert!(
             matches!(err, QueryError::Runtime(SimError::Timeout { .. })),
-            "{err}"
+            "answers: {err}"
         );
         // Still usable once the stall drains.
         t.settle();

@@ -1,5 +1,5 @@
 //! Greenwald–Khanna ε-approximate quantile summary (the paper's citation
-//! [18]).
+//! \[18\]).
 //!
 //! Maintains a sorted list of tuples `(v, g, Δ)` over a stream of n items
 //! such that for every tuple `g + Δ <= ⌊2εn⌋`, which implies any rank query

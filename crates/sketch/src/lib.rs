@@ -13,12 +13,12 @@
 //!   is what lets a site answer the coordinator's exact polls during
 //!   quantile tracking.
 //! * [`SpaceSaving`] — the Metwally et al. counter sketch the paper cites
-//!   [26] for the O(1/ε)-space heavy-hitter site ("Implementing with small
+//!   \[26\] for the O(1/ε)-space heavy-hitter site ("Implementing with small
 //!   space", §2.1).
 //! * [`MisraGries`] — classic deterministic frequent-items summary, used as
 //!   an independent cross-check in tests.
 //! * [`GreenwaldKhanna`] — the ε-approximate quantile summary the paper
-//!   cites [18] for the small-space quantile sites (§3.1, §4).
+//!   cites \[18\] for the small-space quantile sites (§3.1, §4).
 //! * [`EquiDepthSummary`] — a mergeable separator summary with a bounded
 //!   rank error; this is the object sites ship to the coordinator during
 //!   the initialization and rebuilding steps of §3.1 and §4.

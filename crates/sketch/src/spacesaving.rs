@@ -1,4 +1,4 @@
-//! SpaceSaving (Metwally, Agrawal, El Abbadi — the paper's citation [26]).
+//! SpaceSaving (Metwally, Agrawal, El Abbadi — the paper's citation \[26\]).
 //!
 //! Maintains `capacity` counters over a stream of n items with the classic
 //! guarantees:

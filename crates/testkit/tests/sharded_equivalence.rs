@@ -6,8 +6,8 @@
 //! *identical* final answers and the *identical* metered words/messages
 //! as the deterministic runner, matching the golden fixture
 //! (`golden_matrix_costs.txt`) bit-for-bit. This is the acceptance gate
-//! the `Backend` trait was built for: a new execution engine drops in
-//! behind `Tracker` and is held to the same transcript.
+//! for every runtime behind `Tracker`: a new execution engine is held to
+//! the same transcript.
 
 use dtrack_testkit::{
     apply_matrix_filter, assert_matches_golden, assert_outcomes_match, default_matrix, golden,
