@@ -4,10 +4,12 @@
 //! processing cost at a site and end-to-end through the cluster.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dtrack_core::allq::AllQConfig;
+use dtrack_core::allq::{AllQConfig, Tree};
 use dtrack_core::hh::HhConfig;
 use dtrack_core::quantile::QuantileConfig;
+use dtrack_core::ValueRange;
 use dtrack_sim::SiteId;
+use dtrack_sketch::{EquiDepthSummary, MergedSummary};
 use dtrack_workload::{Generator, Zipf};
 
 const FEED: u64 = 10_000;
@@ -102,6 +104,38 @@ fn bench_allq_feed(c: &mut Criterion) {
     g.finish();
 }
 
+/// The coordinator's work at a round restart of the det-allq benchmark
+/// workload (k = 16, ε = 0.05): merge 16 site summaries of 2^14 items of
+/// Zipf(1.2) over 2^20, each a separator every ⌊ε·n_j/32⌋ = 25 ranks
+/// (655 separators), and build the tree down to leaves of ⌊3εm/8⌋ items.
+/// Each iteration merges afresh, so it pays the candidate sort that
+/// `MergedSummary` does once per merge.
+fn bench_allq_tree_build(c: &mut Criterion) {
+    const SITES: u64 = 16;
+    const PER_SITE: u64 = 1 << 14;
+    let epsilon = 0.05;
+    let step = (epsilon * PER_SITE as f64 / 32.0).floor() as u64;
+    let parts: Vec<EquiDepthSummary> = (0..SITES)
+        .map(|site| {
+            let mut gen = Zipf::new(1 << 20, 1.2, 100 + site);
+            let mut values: Vec<u64> = (0..PER_SITE).map(|_| gen.next_item()).collect();
+            values.sort_unstable();
+            EquiDepthSummary::from_sorted(&values, step)
+        })
+        .collect();
+    let m = SITES * PER_SITE;
+    let leaf_limit = (3.0 * epsilon * m as f64 / 8.0).floor() as u64;
+    c.bench_function("allq_tree_build", |b| {
+        b.iter(|| {
+            Tree::build(
+                &MergedSummary::new(black_box(parts.clone())),
+                ValueRange::all(),
+                leaf_limit,
+            )
+        })
+    });
+}
+
 fn bench_queries(c: &mut Criterion) {
     let config = AllQConfig::new(8, 0.05).unwrap();
     let mut cluster = dtrack_core::allq::exact_cluster(config).unwrap();
@@ -139,6 +173,6 @@ fn bench_queries(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_hh_feed, bench_quantile_feed, bench_allq_feed, bench_queries
+    targets = bench_hh_feed, bench_quantile_feed, bench_allq_feed, bench_allq_tree_build, bench_queries
 );
 criterion_main!(benches);

@@ -94,6 +94,9 @@ fn bench_summaries(c: &mut Criterion) {
     c.bench_function("merged_rank_estimate", |b| {
         b.iter(|| merged.rank_estimate(black_box(1 << 23)))
     });
+    // One summary serves every iteration, so only the first pays the
+    // candidate sort, and the best-of-N time is the warm path alone (the
+    // binary search). `allq_tree_build` in protocols.rs pays the sort.
     c.bench_function("merged_select", |b| {
         b.iter(|| merged.select(black_box(4 * N / 2)))
     });

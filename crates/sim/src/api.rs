@@ -60,9 +60,10 @@ pub fn surface() -> String {
     line("const dtrack_sim::flow::WIN_MAX: u32");
     line("const dtrack_sim::tracker::TRACE_ENV: &str");
     line("trait dtrack_sim::tracker::Protocol { label sites_hint build query answers }");
-    line("impl Tracker { builder protocol_label backend_kind num_sites feed feed_batch ingest settle settle_deadline cost_hint query answers cost set_trace trace_events trace_dropped export_trace finish }");
+    line("impl Tracker { builder protocol_label backend_kind num_sites feed feed_batch ingest settle settle_deadline cost_hint inject_fault query answers cost set_trace trace_events trace_dropped export_trace finish }");
     line("impl TrackerBuilder { sites backend site_queue_cap flow_control settle_deadline trace protocol build }");
     line("enum BackendKind { Deterministic Sharded{workers} }");
+    line("enum FaultEvent { KillSite{site} StallSite{site,micros} }");
     line("enum TrackerError { Protocol MissingSiteCount SiteCountMismatch InvalidConfig{knob,detail} Sim }");
     line("enum Query { Count HeavyHitters TrackedQuantile Quantile RankLt Frequency FlowControl Trace }");
     line("enum Answer { Count StreamLength LengthEstimate Total HeavyHitters Quantile QuantileAt RankLt Frequency FlowControl Trace }");
@@ -174,7 +175,7 @@ mod probe {
 /// with a compatible shape. Never called.
 #[allow(dead_code)]
 fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::error::Error>> {
-    use crate::{BackendKind, Query, SiteId, Tracker};
+    use crate::{BackendKind, FaultEvent, Query, SiteId, Tracker};
     let _ = Tracker::builder;
     let builder = Tracker::builder()
         .sites(2)
@@ -204,6 +205,14 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
     tracker.settle();
     tracker.settle_deadline(std::time::Duration::from_secs(30))?;
     tracker.cost_hint(1.0);
+    let stall = FaultEvent::StallSite {
+        site: SiteId(1),
+        micros: 1,
+    };
+    // Irrefutable only while these are the two variants and their fields.
+    let (FaultEvent::KillSite { site } | FaultEvent::StallSite { site, micros: _ }) = stall;
+    tracker.inject_fault(FaultEvent::KillSite { site })?;
+    tracker.inject_fault(stall)?;
     let answer = tracker.query(Query::Count)?;
     let _ = answer.as_count();
     let _ = answer.as_quantile();

@@ -93,12 +93,6 @@ where
         })
     }
 
-    /// Override the per-arrival message fuse (mainly for livelock tests).
-    pub fn with_fuse(mut self, fuse: u64) -> Self {
-        self.fuse = fuse;
-        self
-    }
-
     /// Number of sites k.
     pub fn num_sites(&self) -> u32 {
         self.sites.len() as u32
@@ -535,7 +529,8 @@ mod tests {
     #[test]
     fn livelock_hits_fuse() {
         let sites = vec![LoopSite, LoopSite];
-        let mut c = Cluster::new(sites, LoopCoord).unwrap().with_fuse(1000);
+        let mut c = Cluster::new(sites, LoopCoord).unwrap();
+        c.fuse = 1000;
         let err = c.feed(SiteId(0), 1).unwrap_err();
         assert_eq!(err, SimError::Livelock { fuse: 1000 });
     }

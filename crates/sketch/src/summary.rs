@@ -12,6 +12,8 @@
 //!
 //! Rank convention: estimates of `rank_lt(x) = |{a : a < x}|`.
 
+use std::sync::OnceLock;
+
 /// An equi-depth summary of one site's local multiset: separators taken
 /// every `step` ranks, each placed with at most `sep_error` rank slack
 /// (0 when extracted from exact data, the sketch error when extracted from
@@ -148,12 +150,33 @@ impl dtrack_wire::WireMessage for EquiDepthSummary {
 #[derive(Debug, Clone, Default)]
 pub struct MergedSummary {
     parts: Vec<EquiDepthSummary>,
+    /// Every part's separators, sorted and deduplicated: the candidate set
+    /// of [`Self::select`]. Filled on the first `select`, so summaries
+    /// that only answer rank estimates never pay for the sort. `parts`
+    /// never changes after [`Self::new`], so the list never goes stale.
+    candidates: OnceLock<Vec<u64>>,
 }
 
 impl MergedSummary {
     /// Merge the given summaries.
     pub fn new(parts: Vec<EquiDepthSummary>) -> Self {
-        MergedSummary { parts }
+        MergedSummary {
+            parts,
+            candidates: OnceLock::new(),
+        }
+    }
+
+    fn candidates(&self) -> &[u64] {
+        self.candidates.get_or_init(|| {
+            let mut all: Vec<u64> = self
+                .parts
+                .iter()
+                .flat_map(|p| p.separators().iter().copied())
+                .collect();
+            all.sort_unstable();
+            all.dedup();
+            all
+        })
     }
 
     /// Total items across all parts.
@@ -173,18 +196,10 @@ impl MergedSummary {
 
     /// A value whose estimated global rank is as close as possible to
     /// `target` among all separator candidates. Returns `None` when no
-    /// part carries any separator (e.g. all sites are tiny).
+    /// part carries any separator (e.g. all sites are tiny). The first
+    /// call sorts the candidates; later calls only search them.
     pub fn select(&self, target: u64) -> Option<u64> {
-        let mut candidates: Vec<u64> = self
-            .parts
-            .iter()
-            .flat_map(|p| p.separators().iter().copied())
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
+        let candidates = self.candidates();
         // rank_estimate is monotone nondecreasing in x, so binary search.
         let idx = candidates.partition_point(|&c| self.rank_estimate(c) < target);
         let hi = candidates.get(idx).copied();
@@ -305,6 +320,12 @@ mod tests {
     fn merged_select_none_when_no_separators() {
         let m = MergedSummary::new(vec![EquiDepthSummary::from_sorted(&[1, 2], 10)]);
         assert_eq!(m.select(1), None);
+    }
+
+    #[test]
+    fn merged_summary_stays_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<MergedSummary>();
     }
 
     #[test]

@@ -17,6 +17,47 @@ fn freq_of(stream: &[u64]) -> HashMap<u64, u64> {
     m
 }
 
+/// One site's summary for the `select` cache property. `kind` picks the
+/// shape: 0 an empty site, 1 a duplicate-heavy one over five values (so
+/// sites share separators), 2 values within 64 of `u64::MAX`, 3 a wide
+/// spread.
+fn select_part(kind: u8, raw: &[u64], step: u64) -> EquiDepthSummary {
+    let mut values: Vec<u64> = match kind {
+        0 => Vec::new(),
+        1 => raw.iter().map(|&x| x % 5).collect(),
+        2 => raw.iter().map(|&x| u64::MAX - x % 64).collect(),
+        _ => raw.to_vec(),
+    };
+    values.sort_unstable();
+    EquiDepthSummary::from_sorted(&values, step)
+}
+
+/// `MergedSummary::select` as it ran before the candidate cache: collect,
+/// sort and dedup every part's separators on each call, then search.
+fn select_reference(parts: &[EquiDepthSummary], target: u64) -> Option<u64> {
+    let rank = |x: u64| parts.iter().map(|p| p.rank_estimate(x)).sum::<u64>();
+    let mut candidates: Vec<u64> = parts
+        .iter()
+        .flat_map(|p| p.separators().iter().copied())
+        .collect();
+    if candidates.is_empty() {
+        return None;
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    let idx = candidates.partition_point(|&c| rank(c) < target);
+    let hi = candidates.get(idx).copied();
+    let lo = idx.checked_sub(1).map(|i| candidates[i]);
+    match (lo, hi) {
+        (Some(a), Some(b)) => {
+            let da = rank(a).abs_diff(target);
+            let db = rank(b).abs_diff(target);
+            Some(if da <= db { a } else { b })
+        }
+        (lo, hi) => lo.or(hi),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -175,6 +216,49 @@ proptest! {
                 };
                 prop_assert!(dist <= slack, "target {target}: value {v} off by {dist}");
             }
+        }
+    }
+
+    /// `select` answers from a candidate list sorted once per summary,
+    /// and that list changes no answer: every target, asked in any order
+    /// on one summary, gets what the per-call sort returned, and so does
+    /// a clone taken after the first `select`.
+    #[test]
+    fn merged_select_matches_per_call_sort(
+        shapes in prop::collection::vec(
+            (0u8..4, prop::collection::vec(any::<u64>(), 0..300), 1u64..40),
+            0..21,
+        ),
+        raw_targets in prop::collection::vec(any::<u64>(), 0..40),
+        at in (any::<usize>(), any::<usize>()),
+    ) {
+        let parts: Vec<EquiDepthSummary> = shapes
+            .iter()
+            .map(|(kind, raw, step)| select_part(*kind, raw, *step))
+            .collect();
+        let merged = MergedSummary::new(parts.clone());
+        let total = merged.total();
+        let mut targets: Vec<u64> = raw_targets
+            .iter()
+            .map(|&r| match r % 4 {
+                0 => total + 1 + (r >> 2) % 1000,
+                1 => u64::MAX,
+                _ => (r >> 2) % (total + 1),
+            })
+            .collect();
+        targets.insert(at.0 % (targets.len() + 1), 0);
+        targets.insert(at.1 % (targets.len() + 1), total + 1);
+
+        let mut clone = None;
+        for &t in &targets {
+            let (got, want) = (merged.select(t), select_reference(&parts, t));
+            prop_assert_eq!(got, want, "target {t}: got {got:?}, want {want:?}");
+            clone.get_or_insert_with(|| merged.clone());
+        }
+        let clone = clone.expect("targets are never empty");
+        for &t in targets.iter().rev() {
+            let (got, want) = (clone.select(t), select_reference(&parts, t));
+            prop_assert_eq!(got, want, "clone, target {t}: got {got:?}, want {want:?}");
         }
     }
 
