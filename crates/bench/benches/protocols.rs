@@ -5,11 +5,12 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dtrack_core::allq::{AllQConfig, Tree};
-use dtrack_core::hh::HhConfig;
+use dtrack_core::hh::{HhConfig, HhSketchedProtocol};
 use dtrack_core::quantile::QuantileConfig;
 use dtrack_core::ValueRange;
-use dtrack_sim::SiteId;
+use dtrack_sim::{BackendKind, FlowControlConfig, Query, SiteId, Tracker};
 use dtrack_sketch::{EquiDepthSummary, MergedSummary};
+use dtrack_testkit::runner::{free_run_len, ingest_site_runs};
 use dtrack_workload::{Generator, Zipf};
 
 const FEED: u64 = 10_000;
@@ -170,9 +171,52 @@ fn bench_queries(c: &mut Criterion) {
     });
 }
 
+/// One settled heavy-hitter read through the facade on the pool, in the
+/// pool-hh-k256 benchmark workload's shape: `HhSketchedProtocol` at
+/// k = 256, ε = 0.1 on a 2-worker pool, 2^18 round-robin items of
+/// Zipf(1.2) over 2^20 ingested free-running, then settled. The read pays
+/// the facade's settle check and the pool's coordinator access on top of
+/// the `hh_heavy_hitters_query` lookup. The pool is built inside the
+/// bench closure, so a name filter that skips this bench skips its setup.
+fn bench_pool_settled_read(c: &mut Criterion) {
+    const K: u32 = 256;
+    c.bench_function("pool_settled_read", |b| {
+        let config = HhConfig::new(K, 0.1).unwrap();
+        let run_len = free_run_len(K);
+        let mut tracker = Tracker::builder()
+            .sites(K)
+            .backend(BackendKind::Sharded { workers: Some(2) })
+            .flow_control(FlowControlConfig {
+                initial: run_len as u32,
+                ..FlowControlConfig::default()
+            })
+            .protocol(HhSketchedProtocol::new(config))
+            .build()
+            .unwrap();
+        let mut gen = Zipf::new(1 << 20, 1.2, 1);
+        let stream: Vec<(SiteId, u64)> = (0..1u64 << 18)
+            .map(|i| (SiteId((i % K as u64) as u32), gen.next_item()))
+            .collect();
+        let mut runs = vec![Vec::new(); K as usize];
+        for part in stream.chunks(run_len * K as usize) {
+            ingest_site_runs(&mut tracker, part, &mut runs).unwrap();
+        }
+        tracker.settle();
+        b.iter(|| {
+            tracker
+                .query(Query::HeavyHitters {
+                    phi: black_box(0.25),
+                })
+                .unwrap()
+        });
+        tracker.finish().unwrap();
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_hh_feed, bench_quantile_feed, bench_allq_feed, bench_allq_tree_build, bench_queries
+    targets = bench_hh_feed, bench_quantile_feed, bench_allq_feed, bench_allq_tree_build, bench_queries,
+        bench_pool_settled_read
 );
 criterion_main!(benches);

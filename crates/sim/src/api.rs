@@ -94,6 +94,7 @@ pub fn surface() -> String {
     line("trait dtrack_sim::proto::MessageSize { size_words kind }");
     line("fn dtrack_sim::sharded::RunTicket::wait -> Result<(), SimError>");
     line("fn dtrack_sim::sharded::RunTicket::wait_timeout(deadline) -> Result<(), SimError>");
+    line("fn dtrack_sim::sharded::ShardedCluster::with_coordinator(f: FnOnce(&mut C) -> R) -> Result<R, SimError>");
     line("fn dtrack_sim::sharded::ShardedCluster::words_hint -> u64");
     line("fn dtrack_sim::sharded::ShardedCluster::backlog_hint -> u64");
     line("const dtrack_sim::sharded::SITE_QUEUE_CAP: usize");
@@ -185,6 +186,10 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
         .settle_deadline(std::time::Duration::from_secs(30));
     let _ = builder;
     let _ = crate::sharded::RunTicket::wait_timeout;
+    let _ = crate::sharded::ShardedCluster::<probe::PSite, probe::PCoord>::with_coordinator::<
+        (),
+        fn(&mut probe::PCoord),
+    >;
     let _: crate::ShardedConfig = crate::ShardedConfig::default();
     let _: usize = crate::sharded::default_workers();
     let _: Result<(), String> = crate::FlowControlConfig::fixed(crate::flow::WIN_MIN).validate();

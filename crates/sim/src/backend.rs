@@ -504,9 +504,7 @@ fn settle_end(tracer: &mut SiteTracer, started: Option<Instant>) {
 /// The work-stealing pool runtime (wraps [`ShardedCluster`]): a fixed
 /// worker count serving any number of logical sites.
 pub(crate) struct ShardedBackend<P: Protocol> {
-    /// Shared with the coordinator thread by each read, which clones the
-    /// `Arc`, never the protocol.
-    protocol: Arc<P>,
+    protocol: P,
     cluster: ShardedCluster<P::Site, P::Coordinator>,
     window: AimdWindow,
     /// Driver-lane tracer: settle phases and fault events.
@@ -527,7 +525,7 @@ impl<P: Protocol> ShardedBackend<P> {
         let cluster = ShardedCluster::spawn_with(sites, coordinator, config)?;
         let driver = || SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
         Ok(ShardedBackend {
-            protocol: Arc::new(protocol),
+            protocol,
             window: AimdWindow::new(k, flow, driver()),
             tracer: driver(),
             cluster,
@@ -600,16 +598,14 @@ impl<P: Protocol> Runtime for ShardedBackend<P> {
     }
 
     fn query(&self, query: Query) -> Result<Answer, QueryError> {
-        let protocol = Arc::clone(&self.protocol);
         self.cluster
-            .with_coordinator(move |c| protocol.query(c, query))
+            .with_coordinator(|c| self.protocol.query(c, query))
             .map_err(QueryError::Runtime)?
     }
 
     fn answers(&self) -> Result<Vec<Answer>, QueryError> {
-        let protocol = Arc::clone(&self.protocol);
         self.cluster
-            .with_coordinator(move |c| protocol.answers(c))
+            .with_coordinator(|c| self.protocol.answers(c))
             .map_err(QueryError::Runtime)?
     }
 

@@ -42,6 +42,11 @@
 //!   drains that site's queue, so parked down-sends and feeds always make
 //!   progress: the bounded queues cannot deadlock. `dtrack-lint`'s D3
 //!   rule checks this claim on the registered wait-for graph.
+//! * **One lock around the coordinator state.** The coordinator thread
+//!   holds it for one `on_message`, a read
+//!   ([`ShardedCluster::with_coordinator`]) for one closure on the
+//!   caller's thread. Neither holds it across a send: the coordinator
+//!   thread pushes the triggered downs after unlocking.
 //! * **Event-based quiescence.** One atomic counter (`Pending`) tracks
 //!   commands and messages that are queued or being processed;
 //!   [`ShardedCluster::settle`] parks on a condvar that the last
@@ -509,12 +514,9 @@ impl<S: Site> Pool<S> {
     }
 }
 
-/// Coordinator-thread commands.
-enum CoordCmd<C: Coordinator> {
-    Up(SiteId, C::Up, PendingToken),
-    With(Box<dyn FnOnce(&mut C) + Send>),
-    Stop(Sender<C>),
-}
+/// An upstream message bound for the coordinator thread, with the token
+/// that keeps the system non-quiescent until it has been handled.
+type UpCmd<U> = (SiteId, U, PendingToken);
 
 /// A cluster multiplexing many logical sites onto a fixed work-stealing
 /// worker pool plus one coordinator thread.
@@ -527,7 +529,8 @@ where
     S::Down: Send + Sync,
 {
     pool: Arc<Pool<S>>,
-    coord_tx: Option<Sender<CoordCmd<C>>>,
+    /// The coordinator state, shared with the coordinator thread.
+    coordinator: Arc<Mutex<C>>,
     worker_handles: Vec<JoinHandle<()>>,
     coord_handle: Option<JoinHandle<()>>,
 }
@@ -596,20 +599,24 @@ where
             words_shared: AtomicU64::new(0),
             trace_shared,
         });
-        let (coord_tx, coord_rx): (Sender<CoordCmd<C>>, Receiver<CoordCmd<C>>) = channel();
+        // Only the workers hold inbox senders, so the coordinator thread's
+        // inbox disconnects when the last of them exits.
+        let (coord_tx, coord_rx) = channel();
         let worker_handles = (0..workers)
             .map(|w| {
                 let pool = Arc::clone(&pool);
                 let coord_tx = coord_tx.clone();
-                std::thread::spawn(move || run_worker::<S, C>(w, &pool, &coord_tx))
+                std::thread::spawn(move || run_worker(w, &pool, &coord_tx))
             })
             .collect();
+        let coordinator = Arc::new(Mutex::new(coordinator));
+        let coord_state = Arc::clone(&coordinator);
         let coord_pool = Arc::clone(&pool);
         let coord_handle =
-            std::thread::spawn(move || run_coordinator::<S, C>(coordinator, coord_rx, &coord_pool));
+            std::thread::spawn(move || run_coordinator(&coord_state, coord_rx, &coord_pool));
         Ok(ShardedCluster {
             pool,
-            coord_tx: Some(coord_tx),
+            coordinator,
             worker_handles,
             coord_handle: Some(coord_handle),
         })
@@ -772,26 +779,20 @@ where
         }
     }
 
-    /// Run a closure against the coordinator state on its own thread and
-    /// return the result. Call [`Self::settle`] first if the query must
-    /// observe a quiescent state.
+    /// Run a closure against the coordinator state on the caller's thread,
+    /// under the coordinator lock, and return the result. Call
+    /// [`Self::settle`] first if the query must observe a quiescent state.
+    /// A coordinator (or an earlier closure) that panicked under the lock
+    /// poisoned it: the read returns [`SimError::WorkerGone`].
     pub fn with_coordinator<R, F>(&self, f: F) -> Result<R, SimError>
     where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
+        F: FnOnce(&mut C) -> R,
     {
-        let coord_tx = self
-            .coord_tx
-            .as_ref()
-            .ok_or(SimError::WorkerGone { who: "coordinator" })?;
-        let (tx, rx) = channel();
-        coord_tx
-            .send(CoordCmd::With(Box::new(move |c: &mut C| {
-                let _ = tx.send(f(c));
-            })))
+        let mut coordinator = self
+            .coordinator
+            .lock()
             .map_err(|_| SimError::WorkerGone { who: "coordinator" })?;
-        rx.recv()
-            .map_err(|_| SimError::WorkerGone { who: "coordinator" })
+        Ok(f(&mut coordinator))
     }
 
     /// Merge the per-site communication meters into one snapshot. Call
@@ -862,18 +863,9 @@ where
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
-        let coordinator = match self.coord_tx.take() {
-            Some(ctx) => {
-                let (stx, srx) = channel();
-                let sent = ctx.send(CoordCmd::Stop(stx)).is_ok();
-                drop(ctx);
-                sent.then(|| srx.recv().ok()).flatten()
-            }
-            None => None,
-        };
-        if let Some(h) = self.coord_handle.take() {
-            let _ = h.join();
-        }
+        // Joining the workers disconnected the inbox, so the coordinator
+        // thread exits.
+        let coord_joined = self.coord_handle.take().is_some_and(|h| h.join().is_ok());
         let mut first_err: Option<SimError> = None;
         let mut sites = Vec::with_capacity(self.pool.sites.len());
         let mut meter = MessageMeter::new();
@@ -890,6 +882,14 @@ where
         if self.pool.failed.load(Ordering::SeqCst) {
             first_err.get_or_insert(SimError::WorkerGone { who: "site" });
         }
+        // With the coordinator thread joined, `self` holds the only other
+        // reference; a poisoned lock is a coordinator that panicked.
+        let coordinator = Arc::clone(&self.coordinator);
+        drop(self);
+        let coordinator = Arc::try_unwrap(coordinator)
+            .ok()
+            .filter(|_| coord_joined)
+            .and_then(|state| state.into_inner().ok());
         match (coordinator, first_err) {
             (Some(c), None) => Ok((c, sites, meter)),
             (_, Some(e)) => Err(e),
@@ -921,10 +921,8 @@ where
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
-        if let Some(ctx) = self.coord_tx.take() {
-            let (stx, _srx) = channel();
-            let _ = ctx.send(CoordCmd::Stop(stx));
-        }
+        // Joining the workers disconnected the inbox; seeing `abort`, the
+        // coordinator thread drops its backlog and exits.
         if let Some(h) = self.coord_handle.take() {
             let _ = h.join();
         }
@@ -934,11 +932,10 @@ where
 /// Worker main loop: claim ready sites (own shard first, then steal) and
 /// serve each to exhaustion; park on the scheduler condvar when no shard
 /// has work.
-fn run_worker<S, C>(w: usize, pool: &Arc<Pool<S>>, coord_tx: &Sender<CoordCmd<C>>)
+fn run_worker<S>(w: usize, pool: &Arc<Pool<S>>, coord_tx: &Sender<UpCmd<S::Up>>)
 where
-    S: Site + Send + 'static,
+    S: Site,
     S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
 {
     loop {
         if pool.abort.load(Ordering::SeqCst) {
@@ -975,11 +972,10 @@ const LIGHT_QUANTUM: usize = 256;
 /// fairness quantum, handling each command; a still-busy site is
 /// requeued at the back of its home shard. A panic in any handler kills
 /// *the site*, not the worker.
-fn serve_site<S, C>(pool: &Arc<Pool<S>>, idx: usize, coord_tx: &Sender<CoordCmd<C>>)
+fn serve_site<S>(pool: &Arc<Pool<S>>, idx: usize, coord_tx: &Sender<UpCmd<S::Up>>)
 where
     S: Site,
     S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     let mut exec = pool.lock_exec(idx);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1010,16 +1006,15 @@ enum Serve {
     Requeue { urgent: bool },
 }
 
-fn serve_commands<S, C>(
+fn serve_commands<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
-    coord_tx: &Sender<CoordCmd<C>>,
+    coord_tx: &Sender<UpCmd<S::Up>>,
 ) -> Serve
 where
     S: Site,
     S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     let slot = &pool.sites[idx];
     let mut light = 0usize;
@@ -1077,16 +1072,15 @@ where
 /// released, so the counter cannot dip to zero mid-cascade. A dead
 /// coordinator just drops the ups (their tokens release with the failed
 /// send); `shutdown` reports it.
-fn flush_ups<S, C>(
+fn flush_ups<S>(
     pool: &Pool<S>,
     id: SiteId,
     out: &mut Vec<S::Up>,
     meter: &mut MessageMeter,
-    coord_tx: &Sender<CoordCmd<C>>,
+    coord_tx: &Sender<UpCmd<S::Up>>,
     tracer: &mut SiteTracer,
 ) where
     S: Site,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     for up in out.drain(..) {
         meter.record_up(up.kind(), up.size_words());
@@ -1095,22 +1089,21 @@ fn flush_ups<S, C>(
             words: up.size_words(),
         });
         let token = PendingToken::new(&pool.pending);
-        let _ = coord_tx.send(CoordCmd::Up(id, up, token));
+        let _ = coord_tx.send((id, up, token));
     }
 }
 
 /// Run one `on_items` step of the in-progress batch: consume a quiescent
 /// prefix, forward any triggered ups, then report progress (after the
 /// ups, so the feeder's settle observes the whole cascade).
-fn batch_step<S, C>(
+fn batch_step<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
-    coord_tx: &Sender<CoordCmd<C>>,
+    coord_tx: &Sender<UpCmd<S::Up>>,
 ) where
     S: Site,
     S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     let SiteExec {
         site,
@@ -1131,7 +1124,7 @@ fn batch_step<S, C>(
     tracer.record(TraceEventKind::ItemRun {
         items: consumed.max(1) as u64,
     });
-    flush_ups::<S, C>(pool, SiteId(idx as u32), out, meter, coord_tx, tracer);
+    flush_ups(pool, SiteId(idx as u32), out, meter, coord_tx, tracer);
     let finished = cur.off >= cur.items.len();
     // A dropped feeder (it errored out mid-batch) is not this worker's
     // problem; keep serving the queue.
@@ -1141,16 +1134,15 @@ fn batch_step<S, C>(
     }
 }
 
-fn handle_cmd<S, C>(
+fn handle_cmd<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
     cmd: ShardCmd<S>,
-    coord_tx: &Sender<CoordCmd<C>>,
+    coord_tx: &Sender<UpCmd<S::Up>>,
 ) where
     S: Site,
     S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     let id = SiteId(idx as u32);
     // Each tracked command's token lives to the end of the match arm:
@@ -1167,7 +1159,7 @@ fn handle_cmd<S, C>(
             let Some(site) = site.as_mut() else { return };
             site.on_item(item, out);
             tracer.record(TraceEventKind::ItemRun { items: 1 });
-            flush_ups::<S, C>(pool, id, out, meter, coord_tx, tracer);
+            flush_ups(pool, id, out, meter, coord_tx, tracer);
             drop(token);
         }
         ShardCmd::Batch {
@@ -1209,7 +1201,7 @@ fn handle_cmd<S, C>(
                 words: msg.size_words(),
             });
             site.on_message(&msg, out);
-            flush_ups::<S, C>(pool, id, out, meter, coord_tx, tracer);
+            flush_ups(pool, id, out, meter, coord_tx, tracer);
             drop(token);
         }
         ShardCmd::Stall(micros, token) => {
@@ -1223,16 +1215,15 @@ fn handle_cmd<S, C>(
 /// feedback that has already arrived between `on_items` steps: Downs
 /// from the front of the site's queue are processed immediately, other
 /// commands are deferred in order and put back at the front afterwards.
-fn run_step<S, C>(
+fn run_step<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
     items: &[S::Item],
-    coord_tx: &Sender<CoordCmd<C>>,
+    coord_tx: &Sender<UpCmd<S::Up>>,
 ) where
     S: Site,
     S::Item: Clone,
-    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     let id = SiteId(idx as u32);
     let mut deferred: VecDeque<ShardCmd<S>> = VecDeque::new();
@@ -1254,7 +1245,7 @@ fn run_step<S, C>(
             tracer.record(TraceEventKind::ItemRun {
                 items: consumed.max(1) as u64,
             });
-            flush_ups::<S, C>(pool, id, out, meter, coord_tx, tracer);
+            flush_ups(pool, id, out, meter, coord_tx, tracer);
             // Apply already-arrived feedback before consuming further
             // items, as it would land under per-item delivery — without
             // this, feedback-driven protocols run the whole batch
@@ -1277,7 +1268,7 @@ fn run_step<S, C>(
                         words: msg.size_words(),
                     });
                     site.on_message(&msg, out);
-                    flush_ups::<S, C>(pool, id, out, meter, coord_tx, tracer);
+                    flush_ups(pool, id, out, meter, coord_tx, tracer);
                     drop(down_token);
                 } else {
                     deferred.push_back(next);
@@ -1296,44 +1287,38 @@ fn run_step<S, C>(
     }
 }
 
-/// Coordinator thread: the single consumer of upstream traffic, pushing
-/// triggered downstream messages back into site queues (each carrying
-/// its own pending token).
-fn run_coordinator<S, C>(mut coordinator: C, rx: Receiver<CoordCmd<C>>, pool: &Arc<Pool<S>>)
+/// Coordinator thread: the single consumer of upstream traffic. It holds
+/// the coordinator lock for one `on_message` only, and pushes the
+/// triggered downs (each carrying its own pending token) after unlocking,
+/// as a push may park on a full site queue. It exits when its inbox
+/// disconnects or the lock is poisoned, and drops its backlog unhandled
+/// once the pool aborts.
+fn run_coordinator<S, C>(coordinator: &Mutex<C>, rx: Receiver<UpCmd<S::Up>>, pool: &Pool<S>)
 where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Down: Send + Sync,
+    S: Site,
+    C: Coordinator<Up = S::Up, Down = S::Down>,
 {
     let mut outbox: Outbox<S::Down> = Outbox::new();
-    // Staging buffer so the borrow on `outbox` ends before sends (which
-    // may block on site-queue backpressure) begin.
-    let mut downs: Vec<(Down, S::Down)> = Vec::new();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            CoordCmd::Up(from, up, token) => {
-                debug_assert!(outbox.is_empty());
-                coordinator.on_message(from, up, &mut outbox);
-                downs.extend(outbox.drain());
-                for (dest, msg) in downs.drain(..) {
-                    let msg = Arc::new(msg);
-                    match dest {
-                        Down::Unicast(dst) => push_down(pool, dst, &msg),
-                        Down::Broadcast => {
-                            for i in 0..pool.sites.len() {
-                                push_down(pool, SiteId(i as u32), &msg);
-                            }
-                        }
+    while let Ok((from, up, token)) = rx.recv() {
+        if pool.abort.load(Ordering::SeqCst) {
+            return;
+        }
+        match coordinator.lock() {
+            Ok(mut coordinator) => coordinator.on_message(from, up, &mut outbox),
+            Err(_) => return,
+        }
+        for (dest, msg) in outbox.drain() {
+            let msg = Arc::new(msg);
+            match dest {
+                Down::Unicast(dst) => push_down(pool, dst, &msg),
+                Down::Broadcast => {
+                    for i in 0..pool.sites.len() {
+                        push_down(pool, SiteId(i as u32), &msg);
                     }
                 }
-                drop(token);
-            }
-            CoordCmd::With(f) => f(&mut coordinator),
-            CoordCmd::Stop(reply) => {
-                let _ = reply.send(coordinator);
-                return;
             }
         }
+        drop(token);
     }
 }
 
@@ -1450,6 +1435,23 @@ mod tests {
             expect
         );
         assert_eq!(meter2.total_messages(), 36);
+    }
+
+    /// A read runs on the caller's thread under the coordinator lock, not
+    /// on the coordinator thread.
+    #[test]
+    fn with_coordinator_runs_on_the_callers_thread() {
+        let sites = (0..4).map(|_| LogSite::default()).collect();
+        let cluster = ShardedCluster::spawn_with(sites, SumCoord::default(), cfg(2)).unwrap();
+        for i in 1..=20u64 {
+            cluster.feed(SiteId((i % 4) as u32), i).unwrap();
+        }
+        cluster.settle();
+        let reader = cluster
+            .with_coordinator(|_| std::thread::current().id())
+            .unwrap();
+        assert_eq!(reader, std::thread::current().id());
+        cluster.shutdown().unwrap();
     }
 
     /// The core shard-pool invariant: per-site FIFO order holds when
@@ -1687,6 +1689,51 @@ mod tests {
             cluster.shutdown().unwrap_err(),
             SimError::WorkerGone { who: "site" }
         );
+    }
+
+    /// A coordinator that panics on the poison value — the stand-in for
+    /// the coordinator dying mid-run.
+    #[derive(Debug, Default)]
+    struct PoisonCoord(SumCoord);
+
+    impl Coordinator for PoisonCoord {
+        type Up = Inc;
+        type Down = Nudge;
+        fn on_message(&mut self, from: SiteId, msg: Inc, out: &mut Outbox<Nudge>) {
+            assert!(msg.0 != POISON, "poisoned (intentional test panic)");
+            self.0.on_message(from, msg, out);
+        }
+    }
+
+    /// Coordinator death: `settle` still terminates, a read and `shutdown`
+    /// report the dead coordinator instead of panicking on its poisoned
+    /// lock, and a pool abandoned with a dead coordinator still joins.
+    #[test]
+    fn coordinator_death_surfaces_as_worker_gone() {
+        let gone = SimError::WorkerGone { who: "coordinator" };
+        let spawn = || {
+            let sites = (0..4).map(|_| LogSite::default()).collect();
+            ShardedCluster::spawn_with(sites, PoisonCoord::default(), cfg(2)).unwrap()
+        };
+        let cluster = spawn();
+        for i in 1..=8u64 {
+            cluster.feed(SiteId((i % 4) as u32), i).unwrap();
+        }
+        cluster.feed(SiteId(1), POISON).unwrap();
+        // Ups sent after the death are dropped with their tokens.
+        for i in 1..=8u64 {
+            cluster.feed(SiteId((i % 4) as u32), i).unwrap();
+        }
+        cluster.settle();
+        assert_eq!(cluster.with_coordinator(|c| c.0.sum).unwrap_err(), gone);
+        assert_eq!(cluster.shutdown().unwrap_err(), gone);
+
+        let abandoned = spawn();
+        abandoned.feed(SiteId(2), POISON).unwrap();
+        for i in 0..200u64 {
+            abandoned.feed(SiteId((i % 4) as u32), i).unwrap();
+        }
+        drop(abandoned);
     }
 
     #[test]

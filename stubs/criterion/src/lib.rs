@@ -8,9 +8,13 @@
 //! Each benchmark reports the best-of-samples time per iteration (and
 //! throughput when declared). Set `CRITERION_STUB_SAMPLES` to change the
 //! sample count (default 10, matching the workspace's configured
-//! `sample_size`).
+//! `sample_size`). The first argument of a bench binary that is not a
+//! flag is a name filter, as upstream: `cargo bench --bench protocols --
+//! allq_tree_build` runs only the benchmarks whose full id
+//! (`group/id`) contains `allq_tree_build`.
 
 use std::fmt::Display;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -147,14 +151,39 @@ fn report(id: &str, bencher: &Bencher, throughput: Option<Throughput>) {
     }
 }
 
+/// The bench binary's name filter, set once by the `main` that
+/// [`criterion_main!`] generates; unset in any other process (the stub's
+/// own unit tests included), so there every benchmark runs.
+static ARGS_FILTER: OnceLock<String> = OnceLock::new();
+
+/// The name filter among a bench binary's arguments: the first one that
+/// is not a flag (`cargo bench` itself passes `--bench`).
+fn filter_arg(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|arg| !arg.starts_with('-'))
+}
+
+/// Read the name filter from the process arguments. Called by the `main`
+/// that [`criterion_main!`] generates, before any group runs.
+#[doc(hidden)]
+pub fn init_filter_from_args() {
+    if let Some(filter) = filter_arg(std::env::args().skip(1)) {
+        let _ = ARGS_FILTER.set(filter);
+    }
+}
+
 /// Top-level benchmark driver.
 pub struct Criterion {
     sample_size: u32,
+    /// Run only benchmarks whose full id contains this.
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            filter: ARGS_FILTER.get().cloned(),
+        }
     }
 }
 
@@ -165,9 +194,15 @@ impl Criterion {
         self
     }
 
-    /// Upstream parses CLI args here; the stub accepts and ignores them.
+    /// Upstream parses CLI args here; the stub reads its one argument,
+    /// the name filter, in [`criterion_main!`]'s `main` and ignores the
+    /// rest.
     pub fn configure_from_args(self) -> Self {
         self
+    }
+
+    fn selected(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
     }
 
     fn samples(&self) -> u32 {
@@ -179,6 +214,9 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
+        if !self.selected(id) {
+            return self;
+        }
         let mut b = Bencher::new(self.samples());
         f(&mut b);
         report(id, &b, None);
@@ -214,9 +252,13 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
+        let id = format!("{}/{id}", self.name);
+        if !self.criterion.selected(&id) {
+            return self;
+        }
         let mut b = Bencher::new(self.criterion.samples());
         f(&mut b);
-        report(&format!("{}/{id}", self.name), &b, self.throughput);
+        report(&id, &b, self.throughput);
         self
     }
 
@@ -225,9 +267,13 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
+        let id = format!("{}/{}", self.name, id.id);
+        if !self.criterion.selected(&id) {
+            return self;
+        }
         let mut b = Bencher::new(self.criterion.samples());
         f(&mut b, input);
-        report(&format!("{}/{}", self.name, id.id), &b, self.throughput);
+        report(&id, &b, self.throughput);
         self
     }
 
@@ -254,11 +300,13 @@ macro_rules! criterion_group {
     };
 }
 
-/// Entry point running every group.
+/// Entry point: read the name filter from the arguments, then run every
+/// group.
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
+            $crate::init_filter_from_args();
             $($group();)+
         }
     };
@@ -287,6 +335,38 @@ mod tests {
     #[test]
     fn group_and_bencher_run() {
         benches();
+    }
+
+    #[test]
+    fn filter_skips_benches_whose_full_id_does_not_match() {
+        let mut ran = Vec::new();
+        let mut c = Criterion {
+            sample_size: 1,
+            filter: Some("stub/par".into()),
+        };
+        c.bench_function("stub", |b| {
+            ran.push("stub");
+            b.iter(|| 1)
+        });
+        let mut g = c.benchmark_group("stub");
+        g.bench_function("sum", |b| {
+            ran.push("stub/sum");
+            b.iter(|| 1)
+        });
+        g.bench_with_input(BenchmarkId::new("param", 42), &42u64, |b, &n| {
+            ran.push("stub/param/42");
+            b.iter(|| n)
+        });
+        g.finish();
+        assert_eq!(ran, ["stub/param/42"]);
+
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            filter_arg(args(&["--bench", "allq_tree_build"])).as_deref(),
+            Some("allq_tree_build")
+        );
+        assert_eq!(filter_arg(args(&["--bench"])), None);
+        assert!(Criterion::default().selected("anything"));
     }
 
     #[test]
