@@ -235,13 +235,17 @@ fn deque_ctor(unit: &Unit, i: usize) -> bool {
 /// and matching declared boundedness. For channel constructors the
 /// boundedness is forced by the constructor called; for lock-based
 /// `VecDeque` queues it is a written claim about the surrounding condvar
-/// protocol (either value accepted, the reason documents it). The
-/// wait-for-graph half lives in `graph.rs`.
+/// protocol (either value accepted, the reason documents it). So that a
+/// deque cannot keep a deleted channel's entry (and its wait-for edge)
+/// alive, a deque claims only entries no channel constructor in the
+/// same file claims, and must claim exactly one. The wait-for-graph half
+/// lives in `graph.rs`.
 fn d3_channel_registry(unit: &Unit, cfg: &Config, usage: &mut Usage, out: &mut Vec<Violation>) {
+    // Every construction site with the boundedness it forces: `None` for
+    // a lock-based deque, whose entry may declare either.
+    let mut sites: Vec<(usize, Option<&str>)> = Vec::new();
     for i in 0..unit.toks.len() {
         let id = unit.ident(i);
-        // `kind` is the forced boundedness, or None when the entry may
-        // declare either (lock-based deques).
         let kind: Option<&str> = if CHANNEL_CTORS.contains(&id)
             && unit.open(past_turbofish(unit, i), '(')
             // Skip definitions (`fn unbounded(...)`) — only calls count.
@@ -268,40 +272,64 @@ fn d3_channel_registry(unit: &Unit, cfg: &Config, usage: &mut Usage, out: &mut V
         } else {
             continue;
         };
-        let t = &unit.toks[i];
-        if t.in_use || unit.ctx(i).test {
-            continue;
+        if !unit.toks[i].in_use && !unit.ctx(i).test {
+            sites.push((i, kind));
         }
+    }
+    let entries = |i: usize, kind: Option<&str>| -> Vec<usize> {
         let ctx = unit.ctx(i);
-        let mut matched = false;
-        for (idx, c) in cfg.channels.iter().enumerate() {
-            if c.path == unit.path
-                && kind.is_none_or(|k| k == c.construct)
-                && c.fns
-                    .iter()
-                    .any(|f| f == "<file>" || ctx.chain.iter().any(|e| e == f))
-            {
-                usage.channel_used[idx] = true;
-                matched = true;
-            }
+        (0..cfg.channels.len())
+            .filter(|&idx| {
+                let c = &cfg.channels[idx];
+                c.path == unit.path
+                    && kind.is_none_or(|k| k == c.construct)
+                    && c.fns
+                        .iter()
+                        .any(|f| f == "<file>" || ctx.chain.iter().any(|e| e == f))
+            })
+            .collect()
+    };
+    // Entries some channel constructor claims; a deque claims only the rest.
+    let mut by_channel = vec![false; cfg.channels.len()];
+    for &(i, kind) in sites.iter().filter(|(_, kind)| kind.is_some()) {
+        for idx in entries(i, kind) {
+            by_channel[idx] = true;
         }
-        if !matched {
-            let what = match kind {
-                Some(k) => format!("a {} channel", k),
-                None => "a lock-based queue".to_string(),
-            };
-            out.push(violation(
-                unit,
-                Rule::D3,
-                i,
-                format!(
-                    "`{}(` constructs {} outside the registry — declare it as a [[channel]] \
-                     entry in lint.toml (path, fns, endpoints, boundedness, reason) so the \
-                     wait-for-graph check sees it",
-                    id, what
-                ),
-            ));
+    }
+    for &(i, kind) in &sites {
+        let mut hits = entries(i, kind);
+        if kind.is_none() {
+            hits.retain(|&idx| !by_channel[idx]);
         }
+        for &idx in &hits {
+            usage.channel_used[idx] = true;
+        }
+        let what = match kind {
+            Some(k) => format!("a {} channel", k),
+            None => "a lock-based queue".to_string(),
+        };
+        let message = match (hits.len(), kind) {
+            (0, _) => format!(
+                "`{}(` constructs {} outside the registry — declare it as a [[channel]] \
+                 entry in lint.toml (path, fns, endpoints, boundedness, reason) so the \
+                 wait-for-graph check sees it",
+                unit.ident(i),
+                what
+            ),
+            (2.., None) => format!(
+                "this `{}` queue matches {} [[channel]] entries ({}) that no channel \
+                 constructor claims — ambiguous; a queue must claim exactly one entry, so \
+                 narrow the entries' fns or delete the one whose channel is gone",
+                unit.ident(i),
+                hits.len(),
+                hits.iter()
+                    .map(|&idx| cfg.channels[idx].name.as_str())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
+            _ => continue,
+        };
+        out.push(violation(unit, Rule::D3, i, message));
     }
 }
 

@@ -63,6 +63,24 @@ fn d3_registry_fixtures() {
     assert_twin(Rule::D3, "d3_bad", "d3_ok");
 }
 
+/// A deque claims only entries no channel constructor claims, and
+/// exactly one: when a channel built in the same fn as a queue is
+/// deleted, its entry cannot ride on the queue's deque, so the run fails
+/// instead of keeping the dead entry and its wait-for edge in force.
+#[test]
+fn d3_deque_cannot_keep_a_deleted_channel_alive() {
+    assert_twin(Rule::D3, "d3_deque_bad", "d3_deque_ok");
+    let report = run_fixture("d3_deque_bad");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.rule == Rule::D3 && v.message.contains("ambiguous")),
+        "expected an ambiguous-queue violation, got:\n{}",
+        report.render()
+    );
+}
+
 #[test]
 fn d3_graph_cycle_fixture() {
     let report = run_fixture("d3_graph_bad");
@@ -131,6 +149,7 @@ fn binary_exit_codes() {
         "d1_bad",
         "d2_bad",
         "d3_bad",
+        "d3_deque_bad",
         "d3_graph_bad",
         "d4_bad",
         "d5_bad",
@@ -155,6 +174,7 @@ fn binary_exit_codes() {
         "d1_ok",
         "d2_ok",
         "d3_ok",
+        "d3_deque_ok",
         "d4_ok",
         "d5_ok",
         "d5_trace_ok",

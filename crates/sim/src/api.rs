@@ -93,10 +93,7 @@ pub fn surface() -> String {
     line("trait dtrack_sim::proto::Coordinator { on_message }");
     line("trait dtrack_sim::proto::MessageSize { size_words kind }");
     line("fn dtrack_sim::sharded::RunTicket::wait -> Result<(), SimError>");
-    line("fn dtrack_sim::sharded::RunTicket::wait_timeout(deadline) -> Result<(), SimError>");
     line("fn dtrack_sim::sharded::ShardedCluster::with_coordinator(f: FnOnce(&mut C) -> R) -> Result<R, SimError>");
-    line("fn dtrack_sim::sharded::ShardedCluster::words_hint -> u64");
-    line("fn dtrack_sim::sharded::ShardedCluster::backlog_hint -> u64");
     line("const dtrack_sim::sharded::SITE_QUEUE_CAP: usize");
     line("fn dtrack_sim::sharded::default_workers -> usize");
     line("enum dtrack_sim::error::SimError { Livelock NoSuchSite TooFewSites WorkerGone SiteDown Timeout }");
@@ -185,7 +182,6 @@ fn assert_api_compiles(mut tracker: crate::Tracker) -> Result<(), Box<dyn std::e
         .flow_control(crate::FlowControlConfig::default())
         .settle_deadline(std::time::Duration::from_secs(30));
     let _ = builder;
-    let _ = crate::sharded::RunTicket::wait_timeout;
     let _ = crate::sharded::ShardedCluster::<probe::PSite, probe::PCoord>::with_coordinator::<
         (),
         fn(&mut probe::PCoord),

@@ -85,8 +85,9 @@ pub(crate) trait Runtime: Send {
     fn feed(&mut self, site: SiteId, item: u64) -> Result<(), SimError>;
     fn feed_batch(&mut self, batch: &[(SiteId, u64)]) -> Result<(), SimError>;
     fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError>;
-    fn settle(&mut self);
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError>;
+    /// Wait for quiescence, for at most `deadline` (`None` waits
+    /// unboundedly); an expired deadline is [`SimError::Timeout`].
+    fn settle(&mut self, deadline: Option<Duration>) -> Result<(), SimError>;
     fn cost_hint(&mut self, words_per_item: f64);
     /// The free-running flow controller's state, `None` without one.
     fn flow_control(&self) -> Option<FlowControlStats>;
@@ -159,16 +160,13 @@ impl<P: Protocol> Runtime for DeterministicBackend<P> {
         self.cluster.feed_batch(&self.run_buf)
     }
 
-    fn settle(&mut self) {
-        // Always quiescent between calls. The settle markers keep the
-        // driver-lane vocabulary uniform across backends, with logical
-        // (zero) durations so the stream stays bit-identical per seed.
+    fn settle(&mut self, _deadline: Option<Duration>) -> Result<(), SimError> {
+        // Always quiescent between calls, so no deadline can expire. The
+        // settle markers keep the driver-lane vocabulary uniform across
+        // backends, with logical (zero) durations so the stream stays
+        // bit-identical per seed.
         self.tracer.record(TraceEventKind::SettleBegin);
         self.tracer.record(TraceEventKind::SettleEnd { micros: 0 });
-    }
-
-    fn settle_deadline(&mut self, _deadline: Duration) -> Result<(), SimError> {
-        self.settle();
         Ok(())
     }
 
@@ -237,7 +235,7 @@ const SAMPLE_ITEMS: u64 = 2048;
 /// after 50 of them.
 const BACKPRESSURE_WAIT: Duration = Duration::from_millis(2);
 
-/// The per-site AIMD flow-control window behind the pool's free-running
+/// The per-site AIMD flow-control state behind the pool's free-running
 /// `ingest` (the successor of the fixed one-run-per-site ticket window).
 ///
 /// Each site keeps at most one outstanding run plus a small buffer of
@@ -255,11 +253,13 @@ struct AimdWindow {
     controller: AimdController,
     tickets: Vec<Option<RunTicket>>,
     buffers: Vec<Vec<u64>>,
-    /// Driver-lane tracer for window changes and backpressure waits.
-    tracer: SiteTracer,
     /// Reference words-per-item installed by `cost_hint`; `None`
     /// disables the rate-drift signal.
     ref_rate: Option<f64>,
+    /// Some buffer may hold items: set by `ingest`, cleared by `flush`.
+    /// Every read settles and so flushes first, and without this a read
+    /// on a pool with nothing buffered would still scan all k buffers.
+    unflushed: bool,
     /// Items handed to the cluster so far (probe pacing).
     flushed_items: u64,
     last_probe_items: u64,
@@ -267,219 +267,46 @@ struct AimdWindow {
 }
 
 impl AimdWindow {
-    fn new(k: usize, config: FlowControlConfig, tracer: SiteTracer) -> Self {
+    fn new(k: usize, config: FlowControlConfig) -> Self {
         AimdWindow {
             controller: AimdController::new(k, config),
             tickets: (0..k).map(|_| None).collect(),
             buffers: (0..k).map(|_| Vec::new()).collect(),
-            tracer,
             ref_rate: None,
+            unflushed: false,
             flushed_items: 0,
             last_probe_items: 0,
             last_probe_words: 0,
         }
     }
 
-    /// Record a [`TraceEventKind::WindowChange`] if `idx`'s window moved
-    /// across an adjustment (captured as the before-value by the caller).
-    fn trace_window_change(&mut self, idx: usize, before: u32) {
+    /// Apply one per-site window signal: a cleanly completed run grows
+    /// `idx`'s window, backpressure halves it (the per-site drift signal,
+    /// traced as a [`TraceEventKind::BackpressureWait`]). A window that
+    /// moved is traced as a [`TraceEventKind::WindowChange`].
+    fn adjust(&mut self, idx: usize, backpressured: bool, tracer: &mut SiteTracer) {
+        let before = self.controller.window(idx);
+        if backpressured {
+            self.controller.drift_site(idx);
+            tracer.record(TraceEventKind::BackpressureWait { site: idx as u32 });
+        } else {
+            self.controller.clean_run(idx);
+        }
         let after = self.controller.window(idx);
         if after != before {
-            self.tracer.record(TraceEventKind::WindowChange {
+            tracer.record(TraceEventKind::WindowChange {
                 site: idx as u32,
                 window: after,
             });
-        }
-    }
-
-    /// Buffer `items` for `site` (already checked by the caller to be in
-    /// range and live) and pump the window: enqueue
-    /// window-sized runs whenever the site's previous run has resolved,
-    /// blocking (with the backpressure drift signal) only when the buffer
-    /// has a full window waiting.
-    fn ingest(
-        &mut self,
-        site: SiteId,
-        mut items: Vec<u64>,
-        mut enqueue: impl FnMut(Vec<u64>) -> Result<RunTicket, SimError>,
-        mut probe_words: impl FnMut() -> u64,
-        mut probe_backlog: impl FnMut() -> u64,
-    ) -> Result<(), SimError> {
-        let idx = site.index();
-        if self.buffers[idx].is_empty() {
-            self.buffers[idx] = items;
-        } else {
-            self.buffers[idx].append(&mut items);
-        }
-        self.stall_for_backlog(idx, &mut probe_backlog);
-        self.pump(idx, &mut enqueue)?;
-        self.maybe_probe(&mut probe_words);
-        Ok(())
-    }
-
-    /// Source-side congestion stall: while the cluster-wide backlog
-    /// (in-flight commands plus undelivered protocol messages) exceeds
-    /// the configured in-flight budget, hold off enqueuing more work so
-    /// coordinator feedback can drain. Per-site windows bound one site's
-    /// lead; this bounds the *sum* — the quantity that actually backs up
-    /// the shared coordinator when sites outnumber cores. A sustained
-    /// stall fires the per-site drift signal once, and the wait is
-    /// bounded (50 × [`BACKPRESSURE_WAIT`]) so a wedged cluster degrades
-    /// into the queues' own backpressure instead of hanging here.
-    fn stall_for_backlog(&mut self, idx: usize, probe_backlog: &mut impl FnMut() -> u64) {
-        let cap = u64::from(self.controller.config().inflight_cap);
-        if cap == 0 || probe_backlog() <= cap {
-            return;
-        }
-        let started = Instant::now();
-        let mut drifted = false;
-        loop {
-            std::thread::yield_now();
-            if probe_backlog() <= cap {
-                return;
-            }
-            let waited = started.elapsed();
-            if !drifted && waited >= BACKPRESSURE_WAIT {
-                let before = self.controller.window(idx);
-                self.controller.drift_site(idx);
-                self.tracer
-                    .record(TraceEventKind::BackpressureWait { site: idx as u32 });
-                self.trace_window_change(idx, before);
-                drifted = true;
-            }
-            if waited >= BACKPRESSURE_WAIT * 50 {
-                return;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-    }
-
-    /// Drain `site`'s buffer into window-sized runs while the one-run
-    /// window allows. Exits with less than one window buffered (or an
-    /// empty buffer), so per-site in-flight items stay within ~2 windows.
-    fn pump(
-        &mut self,
-        idx: usize,
-        enqueue: &mut impl FnMut(Vec<u64>) -> Result<RunTicket, SimError>,
-    ) -> Result<(), SimError> {
-        loop {
-            let win = self.controller.window(idx) as usize;
-            if let Some(ticket) = self.tickets[idx].take() {
-                if ticket.0.try_recv().is_ok() {
-                    let before = self.controller.window(idx);
-                    self.controller.clean_run(idx);
-                    self.trace_window_change(idx, before);
-                } else if self.buffers[idx].len() < win {
-                    // Pipelined: run in flight, buffer not yet full —
-                    // come back on the next ingest or flush.
-                    self.tickets[idx] = Some(ticket);
-                    break;
-                } else {
-                    // A full window is waiting on a slow consumer. Wait
-                    // out the run, treating a long wait as backpressure
-                    // (the per-site drift signal).
-                    match ticket.0.recv_timeout(BACKPRESSURE_WAIT) {
-                        Ok(()) => {
-                            let before = self.controller.window(idx);
-                            self.controller.clean_run(idx);
-                            self.trace_window_change(idx, before);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            let before = self.controller.window(idx);
-                            self.controller.drift_site(idx);
-                            self.tracer
-                                .record(TraceEventKind::BackpressureWait { site: idx as u32 });
-                            self.trace_window_change(idx, before);
-                            ticket
-                                .0
-                                .recv()
-                                .map_err(|_| SimError::WorkerGone { who: "site" })?;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(SimError::WorkerGone { who: "site" });
-                        }
-                    }
-                }
-            }
-            if self.buffers[idx].is_empty() {
-                break;
-            }
-            let win = self.controller.window(idx) as usize;
-            let buf = &mut self.buffers[idx];
-            let run: Vec<u64> = if buf.len() <= win {
-                std::mem::take(buf)
-            } else {
-                buf.drain(..win).collect()
-            };
-            self.flushed_items += run.len() as u64;
-            self.tickets[idx] = Some(enqueue(run)?);
-        }
-        Ok(())
-    }
-
-    /// Every [`SAMPLE_ITEMS`] flushed items, compare the observed metered
-    /// words-per-item against the reference rate; sustained excess fires
-    /// the global drift signal (the meter is cluster-wide, so every
-    /// window halves).
-    fn maybe_probe(&mut self, probe_words: &mut impl FnMut() -> u64) {
-        let Some(ref_rate) = self.ref_rate else {
-            return;
-        };
-        let config = *self.controller.config();
-        if config.increase == 0 && config.win_min == config.win_max {
-            return; // fixed window: nothing to adapt, skip the probe cost
-        }
-        let delta_items = self.flushed_items - self.last_probe_items;
-        if delta_items < SAMPLE_ITEMS {
-            return;
-        }
-        let words = probe_words();
-        let delta_words = words.saturating_sub(self.last_probe_words);
-        self.last_probe_items = self.flushed_items;
-        self.last_probe_words = words;
-        let observed = delta_words as f64 / delta_items as f64;
-        if observed > ref_rate * DRIFT_FACTOR {
-            self.controller.drift_all();
-            // One event stands in for the cluster-wide halving; site
-            // `u32::MAX` is the documented "all sites" sentinel and the
-            // window value is the post-halving minimum across sites.
-            let window = (0..self.buffers.len())
-                .map(|i| self.controller.window(i))
-                .min()
-                .unwrap_or(0);
-            self.tracer.record(TraceEventKind::WindowChange {
-                site: u32::MAX,
-                window,
-            });
-        }
-    }
-
-    /// Enqueue every buffered run (tail flush before a quiescence wait,
-    /// fault injection, or teardown). Does not wait for tickets — the
-    /// caller is about to wait for quiescence, which covers queued runs.
-    /// A killed site never holds buffered items here (`ingest` rejects
-    /// it up front, and `inject_fault` flushes before it kills); a site
-    /// whose handler panicked rejects its run, and the items are dropped
-    /// with the error — the death itself surfaces at `finish`.
-    fn flush(&mut self, mut enqueue: impl FnMut(SiteId, Vec<u64>) -> Result<RunTicket, SimError>) {
-        for idx in 0..self.buffers.len() {
-            if self.buffers[idx].is_empty() {
-                continue;
-            }
-            let items = std::mem::take(&mut self.buffers[idx]);
-            self.flushed_items += items.len() as u64;
-            if let Ok(ticket) = enqueue(SiteId(idx as u32), items) {
-                self.tickets[idx] = Some(ticket);
-            }
         }
     }
 }
 
 /// Driver-side settle instrumentation for the pool: record the
 /// backlog high-water mark plus [`TraceEventKind::SettleBegin`] and
-/// return the wall timer the matching [`settle_end`] consumes. `None`
-/// (and no events) when tracing is off, so the untraced settle path
-/// never reads a clock.
+/// return the wall timer the matching `SettleEnd` is measured from.
+/// `None` (and no events) when tracing is off, so the untraced settle
+/// path never reads a clock.
 fn settle_begin(tracer: &mut SiteTracer, backlog: u64) -> Option<Instant> {
     if !tracer.is_on() {
         return None;
@@ -491,23 +318,14 @@ fn settle_begin(tracer: &mut SiteTracer, backlog: u64) -> Option<Instant> {
     Some(Instant::now())
 }
 
-/// Close the settle phase opened by [`settle_begin`] with its wall-clock
-/// duration (the pool's per-phase histogram input).
-fn settle_end(tracer: &mut SiteTracer, started: Option<Instant>) {
-    if let Some(t0) = started {
-        tracer.record(TraceEventKind::SettleEnd {
-            micros: t0.elapsed().as_micros() as u64,
-        });
-    }
-}
-
 /// The work-stealing pool runtime (wraps [`ShardedCluster`]): a fixed
 /// worker count serving any number of logical sites.
 pub(crate) struct ShardedBackend<P: Protocol> {
     protocol: P,
     cluster: ShardedCluster<P::Site, P::Coordinator>,
     window: AimdWindow,
-    /// Driver-lane tracer: settle phases and fault events.
+    /// Driver-lane tracer: settle phases, fault events, window changes
+    /// and backpressure waits.
     tracer: SiteTracer,
 }
 
@@ -521,37 +339,158 @@ impl<P: Protocol> ShardedBackend<P> {
         config: ShardedConfig,
         flow: FlowControlConfig,
     ) -> Result<Self, SimError> {
-        let k = sites.len();
+        let window = AimdWindow::new(sites.len(), flow);
         let cluster = ShardedCluster::spawn_with(sites, coordinator, config)?;
-        let driver = || SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
+        let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
         Ok(ShardedBackend {
             protocol,
-            window: AimdWindow::new(k, flow, driver()),
-            tracer: driver(),
             cluster,
+            window,
+            tracer,
         })
     }
 
-    /// Enqueue every buffered free-running run, so items stay ordered per
-    /// site across delivery paths and faults land after them.
-    fn flush(&mut self) {
-        let cluster = &self.cluster;
-        self.window.flush(|site, run| cluster.ingest_run(site, run));
+    /// Source-side congestion stall: while the cluster-wide backlog
+    /// (in-flight commands plus undelivered protocol messages) exceeds
+    /// the configured in-flight budget, hold off enqueuing more work so
+    /// coordinator feedback can drain. Per-site windows bound one site's
+    /// lead; this bounds the *sum* — the quantity that actually backs up
+    /// the shared coordinator when sites outnumber cores. A sustained
+    /// stall fires the per-site drift signal once, and the wait is
+    /// bounded (50 × [`BACKPRESSURE_WAIT`]) so a wedged cluster degrades
+    /// into the queues' own backpressure instead of hanging here.
+    fn stall_for_backlog(&mut self, idx: usize) {
+        let cap = u64::from(self.window.controller.config().inflight_cap);
+        if cap == 0 || self.cluster.backlog_hint() <= cap {
+            return;
+        }
+        let started = Instant::now();
+        let mut drifted = false;
+        loop {
+            std::thread::yield_now();
+            if self.cluster.backlog_hint() <= cap {
+                return;
+            }
+            let waited = started.elapsed();
+            if !drifted && waited >= BACKPRESSURE_WAIT {
+                self.window.adjust(idx, true, &mut self.tracer);
+                drifted = true;
+            }
+            if waited >= BACKPRESSURE_WAIT * 50 {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
     }
 
-    /// Tail-flush buffered runs, then run one quiescence `wait` inside a
-    /// traced settle phase. The pending counter covers queued runs (each
-    /// `Run` command holds a token until fully consumed), so waiting for
-    /// quiescence also waits out every outstanding ticket.
-    fn settle_with<R>(
-        &mut self,
-        wait: impl FnOnce(&ShardedCluster<P::Site, P::Coordinator>) -> R,
-    ) -> R {
-        self.flush();
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        let result = wait(&self.cluster);
-        settle_end(&mut self.tracer, started);
-        result
+    /// Drain `idx`'s buffer into window-sized runs while the one-run
+    /// window allows. Exits with less than one window buffered (or an
+    /// empty buffer), so per-site in-flight items stay within ~2 windows.
+    fn pump(&mut self, idx: usize) -> Result<(), SimError> {
+        loop {
+            if let Some(ticket) = self.window.tickets[idx].take() {
+                let win = self.window.controller.window(idx) as usize;
+                if ticket.0.try_recv().is_ok() {
+                    self.window.adjust(idx, false, &mut self.tracer);
+                } else if self.window.buffers[idx].len() < win {
+                    // Pipelined: run in flight, buffer not yet full —
+                    // come back on the next ingest or flush.
+                    self.window.tickets[idx] = Some(ticket);
+                    break;
+                } else {
+                    // A full window is waiting on a slow consumer. Wait
+                    // out the run, treating a long wait as backpressure.
+                    match ticket.0.recv_timeout(BACKPRESSURE_WAIT) {
+                        Ok(()) => self.window.adjust(idx, false, &mut self.tracer),
+                        Err(RecvTimeoutError::Timeout) => {
+                            self.window.adjust(idx, true, &mut self.tracer);
+                            ticket.wait()?;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(SimError::WorkerGone { who: "site" });
+                        }
+                    }
+                }
+            }
+            let window = &mut self.window;
+            let buf = &mut window.buffers[idx];
+            if buf.is_empty() {
+                break;
+            }
+            let win = window.controller.window(idx) as usize;
+            let run: Vec<u64> = if buf.len() <= win {
+                std::mem::take(buf)
+            } else {
+                buf.drain(..win).collect()
+            };
+            window.flushed_items += run.len() as u64;
+            window.tickets[idx] = Some(self.cluster.ingest_run(SiteId(idx as u32), run)?);
+        }
+        Ok(())
+    }
+
+    /// Every [`SAMPLE_ITEMS`] flushed items, compare the observed metered
+    /// words-per-item against the reference rate; sustained excess fires
+    /// the global drift signal (the meter is cluster-wide, so every
+    /// window halves).
+    fn maybe_probe(&mut self) {
+        let aimd = &mut self.window;
+        let Some(ref_rate) = aimd.ref_rate else {
+            return;
+        };
+        let config = *aimd.controller.config();
+        if config.increase == 0 && config.win_min == config.win_max {
+            return; // fixed window: nothing to adapt, skip the probe cost
+        }
+        let delta_items = aimd.flushed_items - aimd.last_probe_items;
+        if delta_items < SAMPLE_ITEMS {
+            return;
+        }
+        let words = self.cluster.words_hint();
+        let delta_words = words.saturating_sub(aimd.last_probe_words);
+        aimd.last_probe_items = aimd.flushed_items;
+        aimd.last_probe_words = words;
+        let observed = delta_words as f64 / delta_items as f64;
+        if observed > ref_rate * DRIFT_FACTOR {
+            aimd.controller.drift_all();
+            // One event stands in for the cluster-wide halving; site
+            // `u32::MAX` is the documented "all sites" sentinel and the
+            // window value is the post-halving minimum across sites.
+            let window = (0..aimd.buffers.len())
+                .map(|i| aimd.controller.window(i))
+                .min()
+                .unwrap_or(0);
+            self.tracer.record(TraceEventKind::WindowChange {
+                site: u32::MAX,
+                window,
+            });
+        }
+    }
+
+    /// Enqueue every buffered run, so items stay ordered per site across
+    /// delivery paths and faults land after them (tail flush before a
+    /// quiescence wait, fault injection, or teardown). Does not wait for
+    /// tickets — the caller is about to wait for quiescence, which covers
+    /// queued runs. A killed site never holds buffered items here
+    /// (`ingest` rejects it up front, and `inject_fault` flushes before
+    /// it kills); a site whose handler panicked rejects its run, and the
+    /// items are dropped with the error — the death itself surfaces at
+    /// `finish`.
+    fn flush(&mut self) {
+        let aimd = &mut self.window;
+        if !std::mem::take(&mut aimd.unflushed) {
+            return;
+        }
+        for idx in 0..aimd.buffers.len() {
+            if aimd.buffers[idx].is_empty() {
+                continue;
+            }
+            let items = std::mem::take(&mut aimd.buffers[idx]);
+            aimd.flushed_items += items.len() as u64;
+            if let Ok(ticket) = self.cluster.ingest_run(SiteId(idx as u32), items) {
+                aimd.tickets[idx] = Some(ticket);
+            }
+        }
     }
 }
 
@@ -566,27 +505,42 @@ impl<P: Protocol> Runtime for ShardedBackend<P> {
         self.cluster.feed_batch(batch)
     }
 
-    fn ingest(&mut self, site: SiteId, items: Vec<u64>) -> Result<(), SimError> {
+    /// Buffer `items` and pump the site's window: enqueue window-sized
+    /// runs whenever the site's previous run has resolved, blocking (with
+    /// the backpressure drift signal) only when the buffer has a full
+    /// window waiting.
+    fn ingest(&mut self, site: SiteId, mut items: Vec<u64>) -> Result<(), SimError> {
         // Reject a killed or out-of-range site up front: once buffered,
         // items only reach the cluster at a later flush, which has no
         // caller left to hand the error to.
-        self.cluster.check_site(site)?;
-        let cluster = &self.cluster;
-        self.window.ingest(
-            site,
-            items,
-            |run| cluster.ingest_run(site, run),
-            || cluster.words_hint(),
-            || cluster.backlog_hint(),
-        )
+        let idx = self.cluster.check_site(site)?;
+        let buf = &mut self.window.buffers[idx];
+        if buf.is_empty() {
+            *buf = items;
+        } else {
+            buf.append(&mut items);
+        }
+        self.window.unflushed = true;
+        self.stall_for_backlog(idx);
+        self.pump(idx)?;
+        self.maybe_probe();
+        Ok(())
     }
 
-    fn settle(&mut self) {
-        self.settle_with(|cluster| cluster.settle());
-    }
-
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        self.settle_with(|cluster| cluster.settle_deadline(deadline))
+    /// Tail-flush buffered runs, then wait for quiescence inside a traced
+    /// settle phase. The pending counter covers queued runs (each `Run`
+    /// command holds a token until fully consumed), so the wait also
+    /// waits out every outstanding ticket.
+    fn settle(&mut self, deadline: Option<Duration>) -> Result<(), SimError> {
+        self.flush();
+        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
+        let idle = self.cluster.wait_idle(deadline);
+        if let Some(t0) = started {
+            self.tracer.record(TraceEventKind::SettleEnd {
+                micros: t0.elapsed().as_micros() as u64,
+            });
+        }
+        idle
     }
 
     fn cost_hint(&mut self, words_per_item: f64) {
@@ -624,15 +578,11 @@ impl<P: Protocol> Runtime for ShardedBackend<P> {
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
-        merge_snapshots(vec![
-            self.cluster.trace_events(),
-            self.tracer.snapshot(),
-            self.window.tracer.snapshot(),
-        ])
+        merge_snapshots(vec![self.cluster.trace_events(), self.tracer.snapshot()])
     }
 
     fn trace_dropped(&self) -> u64 {
-        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer.dropped()
+        self.cluster.trace_dropped() + self.tracer.dropped()
     }
 
     fn cost(&self) -> MessageMeter {
@@ -757,7 +707,7 @@ pub(crate) mod tests {
         b.feed_batch(&[(SiteId(1), 2), (SiteId(1), 3)]).unwrap();
         b.ingest(SiteId(0), vec![4, 5]).unwrap();
         b.ingest(SiteId(0), vec![6]).unwrap();
-        b.settle();
+        b.settle(None).unwrap();
         assert_eq!(b.answers().unwrap(), counted(6, 21));
         assert_eq!(b.query(Query::Count).unwrap(), Answer::Count(6));
         assert_eq!(b.cost().kind("t/up").messages, 6);
@@ -792,7 +742,7 @@ pub(crate) mod tests {
         b.feed(SiteId(0), 1).unwrap();
         b.feed_batch(&[(SiteId(1), 2), (SiteId(1), 3)]).unwrap();
         b.ingest(SiteId(0), vec![4, 5, 6]).unwrap();
-        b.settle();
+        b.settle(None).unwrap();
         assert_eq!(b.answers().unwrap(), counted(6, 21));
         let events = b.trace_events();
         let count = |label: &str| events.iter().filter(|e| e.kind.label() == label).count();
@@ -843,7 +793,7 @@ pub(crate) mod tests {
         })
         .unwrap();
         b.feed(SiteId(0), 3).unwrap();
-        b.settle();
+        b.settle(None).unwrap();
         assert_eq!(b.answers().unwrap(), counted(3, 6));
         assert_eq!(
             b.inject_fault(FaultEvent::KillSite { site: SiteId(9) }),
@@ -882,11 +832,31 @@ pub(crate) mod tests {
         })
         .unwrap();
         b.feed(SiteId(0), 1).unwrap();
-        let err = b.settle_deadline(Duration::from_millis(20)).unwrap_err();
+        let err = b.settle(Some(Duration::from_millis(20))).unwrap_err();
         assert!(matches!(err, SimError::Timeout { waited_ms: 20 }));
         // Usable after the timeout: a full settle waits out the stall.
-        b.settle();
+        b.settle(None).unwrap();
         assert_eq!(b.query(Query::Count).unwrap(), Answer::Count(1));
+        Box::new(b).finish().unwrap();
+    }
+
+    /// Items buffered behind a run still in flight reach the cluster at
+    /// the next settle: `flush` may skip its scan only when no `ingest`
+    /// buffered anything since the last flush.
+    #[test]
+    fn settle_flushes_items_buffered_behind_a_run_in_flight() {
+        let mut b = sharded(2, 2, FlowControlConfig::default()).unwrap();
+        b.inject_fault(FaultEvent::StallSite {
+            site: SiteId(0),
+            micros: 20_000,
+        })
+        .unwrap();
+        // The first run queues behind the stall; the second finds it in
+        // flight with less than a window buffered, so it stays buffered.
+        b.ingest(SiteId(0), vec![1, 2]).unwrap();
+        b.ingest(SiteId(0), vec![3]).unwrap();
+        b.settle(None).unwrap();
+        assert_eq!(b.answers().unwrap(), counted(3, 6));
         Box::new(b).finish().unwrap();
     }
 
@@ -894,7 +864,7 @@ pub(crate) mod tests {
     fn deterministic_settle_deadline_always_succeeds() {
         let mut b = deterministic(2).unwrap();
         b.feed(SiteId(0), 1).unwrap();
-        assert_eq!(b.settle_deadline(Duration::from_millis(1)), Ok(()));
+        assert_eq!(b.settle(Some(Duration::from_millis(1))), Ok(()));
         assert!(b.flow_control().is_none(), "no controller to observe");
     }
 
@@ -912,7 +882,7 @@ pub(crate) mod tests {
             b.ingest(SiteId(0), vec![round]).unwrap();
             // Settling consumes the run, so the next pump observes a
             // clean completion and grows the window deterministically.
-            b.settle();
+            b.settle(None).unwrap();
         }
         let stats = b.flow_control().expect("the pool exposes stats");
         assert!(
@@ -949,7 +919,7 @@ pub(crate) mod tests {
             stats.drift_events >= 1,
             "backpressure should fire the drift signal, got {stats}"
         );
-        b.settle();
+        b.settle(None).unwrap();
         assert_eq!(b.answers().unwrap(), counted(8, 36));
         Box::new(b).finish().unwrap();
     }

@@ -39,10 +39,11 @@ pub enum SimError {
         /// The dead site's index.
         site: u32,
     },
-    /// A deadline-aware wait (`settle_deadline`, `RunTicket::wait_timeout`)
-    /// expired before the system went quiescent. The runtime is still
-    /// usable — a stalled site may drain later — but the caller asked to
-    /// degrade to an error instead of parking unboundedly.
+    /// A deadline-aware quiescence wait (`settle_deadline`, or a read
+    /// under the builder's `settle_deadline`) expired before the system
+    /// went quiescent. The runtime is still usable — a stalled site may
+    /// drain later — but the caller asked to degrade to an error instead
+    /// of parking unboundedly.
     Timeout {
         /// How long the caller waited, in milliseconds.
         waited_ms: u64,

@@ -23,7 +23,8 @@
 //! no randomness. Feeding two instances the same observation sequence
 //! produces bit-identical traces — that determinism is what the
 //! proptests pin. The racy part (when observations *happen*) lives in
-//! the pool runtime's `AimdWindow`; it only ever changes run boundaries on
+//! the pool runtime, which keeps the per-site windows in its `AimdWindow`
+//! and calls the cluster directly; it only ever changes run boundaries on
 //! the free-running `ingest` path, never the settled `feed_batch`
 //! schedule, so golden transcripts are untouched.
 

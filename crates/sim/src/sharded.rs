@@ -12,18 +12,24 @@
 //!
 //! ## Design
 //!
+//! * **Two reactions.** In the paper's model a site reacts to exactly two
+//!   events: an arrival and a coordinator message. Every command that
+//!   touches a site's state goes through one of two `SiteExec` methods:
+//!   `step` runs one [`Site::on_items`] prefix, and `down` runs one
+//!   [`Site::on_message`]. Both meter, trace and forward the triggered
+//!   ups, so every delivery path shares one transcript-defining sequence.
 //! * **Per-site run queues.** Every logical site owns a bounded FIFO
-//!   queue of commands (items, batches, runs, coordinator downs). All of
-//!   a site's work flows through its own queue, so per-site arrival
-//!   order — which the quiescence protocol and the transcript-identical
-//!   batch schedule depend on — is a property of the data structure, not
-//!   of scheduling luck.
+//!   queue of commands (items, settled steps, runs, coordinator downs).
+//!   All of a site's work flows through its own queue, so per-site
+//!   arrival order — which the quiescence protocol and the
+//!   transcript-identical batch schedule depend on — is a property of the
+//!   data structure, not of scheduling luck.
 //! * **Home shards + run-granularity stealing.** Each site is pinned to
 //!   a home shard (`site % workers`). A shard is a deque of *ready
 //!   sites*: a site is enqueued when its (previously empty) queue gains
 //!   a command, and dequeued by exactly one worker, which then serves one
 //!   *site-run*: the site's queue in FIFO order up to a fairness quantum
-//!   (one whole batched run, or a burst of light commands), after which
+//!   (one step or whole run, or a burst of light commands), after which
 //!   a still-busy site goes to the back of its home shard and the worker
 //!   claims the next ready site. Idle workers steal whole site-runs from
 //!   the back of other shards' deques; they never split one site's queue
@@ -70,23 +76,26 @@
 //!   site: the worker catches the unwind, discards the site's state,
 //!   marks its queue dead (draining it releases the queued tokens and
 //!   resolves its `RunTicket`s as [`SimError::WorkerGone`]), and keeps
-//!   serving other sites. The pool never loses a worker to one bad site.
+//!   serving other sites. A settled step the site died in drops the
+//!   feeder's reply sender, so [`ShardedCluster::feed_batch`] returns
+//!   `WorkerGone` too. The pool never loses a worker to one bad site.
 //!
 //! ## Why stealing whole site-runs keeps transcripts bit-identical
 //!
 //! The equivalence suites drive [`ShardedCluster::feed_batch`], which
-//! ships one site's run at a time and settles the triggered cascade
-//! between quiescent steps — under that schedule at most one site-run is
-//! in flight, and it is served by exactly one worker in FIFO order, so
-//! which worker (home or thief) serves it is unobservable: answers and
-//! metered words match the deterministic runner bit-for-bit. Stealing
-//! individual *items* instead would interleave one site's arrivals
-//! across workers and break the per-site order the protocols assume.
+//! ships one site's run one quiescent step at a time and settles the
+//! triggered cascade between steps — under that schedule at most one
+//! step is in flight, and it is served by exactly one worker in FIFO
+//! order, so which worker (home or thief) serves it is unobservable:
+//! answers and metered words match the deterministic runner bit-for-bit.
+//! Stealing individual *items* instead would interleave one site's
+//! arrivals across workers and break the per-site order the protocols
+//! assume.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -144,37 +153,32 @@ impl Pending {
         self.count.load(Ordering::SeqCst)
     }
 
-    pub(crate) fn wait_idle(&self) {
+    /// Park until the count reaches zero, for at most `deadline` (`None`
+    /// waits unboundedly). An expired deadline returns
+    /// [`SimError::Timeout`]; nothing is cancelled, so the count may
+    /// still drain later.
+    pub(crate) fn wait_idle(&self, deadline: Option<Duration>) -> Result<(), SimError> {
         if self.count.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let mut guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
-        while self.count.load(Ordering::SeqCst) != 0 {
-            guard = self.idle_cv.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Deadline-aware [`Pending::wait_idle`]: `true` when the system went
-    /// quiescent, `false` when the deadline expired first (the count may
-    /// still drain later — nothing is cancelled).
-    pub(crate) fn wait_idle_deadline(&self, deadline: Duration) -> bool {
-        if self.count.load(Ordering::SeqCst) == 0 {
-            return true;
+            return Ok(());
         }
         let start = Instant::now();
         let mut guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
         while self.count.load(Ordering::SeqCst) != 0 {
-            let elapsed = start.elapsed();
-            if elapsed >= deadline {
-                return false;
-            }
-            let (g, _) = self
-                .idle_cv
-                .wait_timeout(guard, deadline - elapsed)
-                .unwrap_or_else(|e| e.into_inner());
-            guard = g;
+            guard = match deadline {
+                None => self.idle_cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let left = deadline.saturating_sub(start.elapsed());
+                    if left.is_zero() {
+                        return Err(SimError::Timeout {
+                            waited_ms: deadline.as_millis() as u64,
+                        });
+                    }
+                    let waited = self.idle_cv.wait_timeout(guard, left);
+                    waited.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
         }
-        true
+        Ok(())
     }
 }
 
@@ -215,19 +219,6 @@ impl RunTicket {
         self.0
             .recv()
             .map_err(|_| SimError::WorkerGone { who: "site" })
-    }
-
-    /// Deadline-aware [`RunTicket::wait`]: a run still unconsumed after
-    /// `deadline` (a stalled or wedged site) returns
-    /// [`SimError::Timeout`] instead of parking forever. The ticket is
-    /// consumed either way; the run itself is not cancelled.
-    pub fn wait_timeout(self, deadline: Duration) -> Result<(), SimError> {
-        self.0.recv_timeout(deadline).map_err(|e| match e {
-            RecvTimeoutError::Timeout => SimError::Timeout {
-                waited_ms: deadline.as_millis() as u64,
-            },
-            RecvTimeoutError::Disconnected => SimError::WorkerGone { who: "site" },
-        })
     }
 }
 
@@ -272,15 +263,16 @@ pub fn default_workers() -> usize {
 enum ShardCmd<S: Site> {
     /// One item; the per-item slow path.
     Item(S::Item, PendingToken),
-    /// A same-site run consumed through [`Site::on_items`] one quiescent
-    /// step at a time (see [`ShardedCluster::feed_batch`]).
-    Batch {
+    /// One quiescent step of a settled run (see
+    /// [`ShardedCluster::feed_batch`]): the site consumes one
+    /// [`Site::on_items`] prefix of `items[from..]` and hands the run
+    /// back on `progress` with the count consumed.
+    Step {
         items: Vec<S::Item>,
-        progress: Sender<usize>,
+        from: usize,
+        progress: Sender<(Vec<S::Item>, usize)>,
         token: PendingToken,
     },
-    /// Continue the in-progress batch with the next quiescent step.
-    Resume(PendingToken),
     /// A same-site run consumed to completion without global
     /// synchronization (free-running parallel ingest).
     Run(Vec<S::Item>, Sender<()>, PendingToken),
@@ -302,32 +294,89 @@ struct QueueInner<S: Site> {
     dead: bool,
 }
 
-/// State of a batch being consumed one quiescent step at a time.
-struct BatchState<S: Site> {
-    items: Vec<S::Item>,
-    off: usize,
-    progress: Sender<usize>,
+/// An upstream message bound for the coordinator thread, with the token
+/// that keeps the system non-quiescent until it has been handled.
+type UpCmd<U> = (SiteId, U, PendingToken);
+
+/// A worker's route up to the coordinator thread: the inbox sender, and
+/// the pending counter every forwarded Up holds a token on.
+struct Uplink<U> {
+    inbox: Sender<UpCmd<U>>,
+    pending: Arc<Pending>,
 }
 
 /// The part of a site only its current server touches: the protocol
-/// state machine, its meter, the in-progress batch, and scratch buffers.
+/// state machine, its meter and trace ring, and a scratch buffer.
 /// Behind its own mutex so `cost()` and `shutdown()` can snapshot meters
 /// between claims (the lock is held for at most one serve quantum, and
 /// is uncontended on the serving path — one server per site).
 struct SiteExec<S: Site> {
+    id: SiteId,
     /// `None` once the site died (its state is discarded, as a dead
     /// thread's would be) or after `shutdown` collected it.
     site: Option<S>,
     meter: MessageMeter,
     /// Words already published to the pool-wide hint counter.
     words_reported: u64,
-    batch: Option<BatchState<S>>,
     /// Reused upstream-message buffer.
     out: Vec<S::Up>,
     /// This site's trace ring (touched only by the worker currently
     /// serving the site, exactly like the meter; snapshotted under the
     /// exec lock by `trace_events`).
     tracer: SiteTracer,
+}
+
+impl<S: Site> SiteExec<S> {
+    /// An arrival: run one [`Site::on_items`] prefix of `items`, record
+    /// its `ItemRun` event, and meter and forward its ups. Returns how
+    /// many items the site consumed, or `None` once it is dead.
+    fn step(&mut self, items: &[S::Item], up: &Uplink<S::Up>) -> Option<usize>
+    where
+        S::Item: Clone,
+    {
+        let site = self.site.as_mut()?;
+        debug_assert!(self.out.is_empty());
+        let consumed = site.on_items(items, &mut self.out);
+        debug_assert!(consumed > 0, "on_items must make progress");
+        let consumed = consumed.max(1);
+        self.tracer.record(TraceEventKind::ItemRun {
+            items: consumed as u64,
+        });
+        self.forward_ups(up);
+        Some(consumed)
+    }
+
+    /// A coordinator message: meter and trace the hop, run
+    /// [`Site::on_message`], and forward its ups. A dead site drops it.
+    fn down(&mut self, msg: &S::Down, up: &Uplink<S::Up>) {
+        let Some(site) = self.site.as_mut() else {
+            return;
+        };
+        self.meter.record_down(msg.kind(), msg.size_words());
+        self.tracer.record(TraceEventKind::DownHop {
+            kind: msg.kind(),
+            words: msg.size_words(),
+        });
+        site.on_message(msg, &mut self.out);
+        self.forward_ups(up);
+    }
+
+    /// Meter and forward one reaction's ups. Each carries its own pending
+    /// token, created before the input command's token is released, so
+    /// the counter cannot dip to zero mid-cascade. A dead coordinator
+    /// just drops the ups (their tokens release with the failed send);
+    /// `shutdown` reports it.
+    fn forward_ups(&mut self, up: &Uplink<S::Up>) {
+        for msg in self.out.drain(..) {
+            self.meter.record_up(msg.kind(), msg.size_words());
+            self.tracer.record(TraceEventKind::UpHop {
+                kind: msg.kind(),
+                words: msg.size_words(),
+            });
+            let token = PendingToken::new(&up.pending);
+            let _ = up.inbox.send((self.id, msg, token));
+        }
+    }
 }
 
 struct SiteSlot<S: Site> {
@@ -493,15 +542,14 @@ impl<S: Site> Pool<S> {
         self.sched_cv.notify_all();
     }
 
-    /// Contain a dead site: discard its state machine and in-progress
-    /// batch (dropping the batch's progress sender unblocks a waiting
-    /// feeder with an error), drain its queue (releasing every queued
-    /// token and resolving queued `RunTicket`s as worker-gone), and wake
-    /// blocked producers so they observe the death.
+    /// Contain a dead site: discard its state machine, drain its queue
+    /// (releasing every queued token and resolving queued `RunTicket`s
+    /// as worker-gone), and wake blocked producers so they observe the
+    /// death. The step it died in dropped its reply sender while
+    /// unwinding, which already unblocked a waiting feeder with an error.
     fn kill_site(&self, idx: usize, exec: &mut SiteExec<S>) {
         self.failed.store(true, Ordering::SeqCst);
         exec.site = None;
-        exec.batch = None;
         exec.out.clear();
         let dropped: Vec<ShardCmd<S>> = {
             let mut q = self.lock_queue(idx);
@@ -513,10 +561,6 @@ impl<S: Site> Pool<S> {
         drop(dropped);
     }
 }
-
-/// An upstream message bound for the coordinator thread, with the token
-/// that keeps the system non-quiescent until it has been handled.
-type UpCmd<U> = (SiteId, U, PendingToken);
 
 /// A cluster multiplexing many logical sites onto a fixed work-stealing
 /// worker pool plus one coordinator thread.
@@ -572,10 +616,10 @@ where
                 }),
                 space_cv: Condvar::new(),
                 exec: Mutex::new(SiteExec {
+                    id: SiteId(i as u32),
                     site: Some(site),
                     meter: MessageMeter::new(),
                     words_reported: 0,
-                    batch: None,
                     out: Vec::new(),
                     tracer: SiteTracer::new(Arc::clone(&trace_shared), TraceLane::Site(i as u32)),
                 }),
@@ -601,12 +645,15 @@ where
         });
         // Only the workers hold inbox senders, so the coordinator thread's
         // inbox disconnects when the last of them exits.
-        let (coord_tx, coord_rx) = channel();
+        let (inbox, coord_rx) = channel();
         let worker_handles = (0..workers)
             .map(|w| {
                 let pool = Arc::clone(&pool);
-                let coord_tx = coord_tx.clone();
-                std::thread::spawn(move || run_worker(w, &pool, &coord_tx))
+                let up = Uplink {
+                    inbox: inbox.clone(),
+                    pending: Arc::clone(&pool.pending),
+                };
+                std::thread::spawn(move || run_worker(w, &pool, &up))
             })
             .collect();
         let coordinator = Arc::new(Mutex::new(coordinator));
@@ -693,41 +740,38 @@ where
     /// before the site consumes further items — coordinator replies land
     /// between items exactly as in per-item delivery, so answers *and*
     /// metered words are bit-identical to the deterministic runner.
+    ///
+    /// Each step is one `Step` command that hands the run back with the
+    /// count consumed, over a channel made for that step, so a site holds
+    /// no in-progress state between steps. A site that dies mid-step
+    /// drops that channel's only sender: the call returns
+    /// [`SimError::WorkerGone`].
     pub fn feed_batch(&self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
-        let mut i = 0;
-        while i < batch.len() {
-            let site = batch[i].0;
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == site {
-                j += 1;
-            }
-            let idx = self.check_site(site)?;
-            let items: Vec<S::Item> = batch[i..j].iter().map(|(_, it)| it.clone()).collect();
-            let total = items.len();
-            let (ptx, prx) = channel();
-            self.push(
-                idx,
-                ShardCmd::Batch {
-                    items,
-                    progress: ptx,
-                    token: PendingToken::new(&self.pool.pending),
-                },
-            )?;
-            let mut consumed_total = 0;
-            loop {
-                let consumed = prx
+        for run in batch.chunk_by(|a, b| a.0 == b.0) {
+            let idx = self.check_site(run[0].0)?;
+            let mut items: Vec<S::Item> = run.iter().map(|(_, it)| it.clone()).collect();
+            let mut from = 0;
+            while from < items.len() {
+                let (progress, reply) = channel();
+                let token = PendingToken::new(&self.pool.pending);
+                self.push(
+                    idx,
+                    ShardCmd::Step {
+                        items,
+                        from,
+                        progress,
+                        token,
+                    },
+                )?;
+                let (back, consumed) = reply
                     .recv()
                     .map_err(|_| SimError::WorkerGone { who: "site" })?;
-                consumed_total += consumed;
-                // The step's ups were enqueued before the progress
-                // report, so the counter covers the whole cascade here.
+                items = back;
+                from += consumed;
+                // The step's ups were forwarded before the run came back,
+                // so the counter covers the whole cascade here.
                 self.settle();
-                if consumed_total >= total {
-                    break;
-                }
-                self.push(idx, ShardCmd::Resume(PendingToken::new(&self.pool.pending)))?;
             }
-            i = j;
         }
         Ok(())
     }
@@ -758,25 +802,26 @@ where
         Ok(RunTicket(drx))
     }
 
+    /// The one quiescence wait behind `settle` and `settle_deadline`:
+    /// for at most `deadline`, or unboundedly with `None`.
+    pub(crate) fn wait_idle(&self, deadline: Option<Duration>) -> Result<(), SimError> {
+        self.pool.pending.wait_idle(deadline)
+    }
+
     /// Block until no message is queued or being processed anywhere.
     /// Parks on the shared pending counter — a dead site's drained queue
     /// releases its counts, so this cannot hang on worker death.
     pub fn settle(&self) {
-        self.pool.pending.wait_idle();
+        // Without a deadline the wait cannot time out.
+        let _ = self.wait_idle(None);
     }
 
     /// Deadline-aware [`Self::settle`]: waits for quiescence at most
     /// `deadline`, then degrades to [`SimError::Timeout`] instead of an
     /// unbounded park. The pool remains fully usable — a stalled site may
     /// still drain later, and shutdown waits it out as usual.
-    pub fn settle_deadline(&self, deadline: std::time::Duration) -> Result<(), SimError> {
-        if self.pool.pending.wait_idle_deadline(deadline) {
-            Ok(())
-        } else {
-            Err(SimError::Timeout {
-                waited_ms: deadline.as_millis() as u64,
-            })
-        }
+    pub fn settle_deadline(&self, deadline: Duration) -> Result<(), SimError> {
+        self.wait_idle(Some(deadline))
     }
 
     /// Run a closure against the coordinator state on the caller's thread,
@@ -840,7 +885,7 @@ where
     /// [`ShardedCluster::cost`] (which takes every per-site exec lock in
     /// turn), this never blocks — it is the flow controller's drift-probe
     /// source, safe to call mid-ingest.
-    pub fn words_hint(&self) -> u64 {
+    pub(crate) fn words_hint(&self) -> u64 {
         self.pool.words_shared.load(Ordering::Relaxed)
     }
 
@@ -849,7 +894,7 @@ where
     /// The flow controller stalls free-running ingest while this exceeds
     /// its in-flight budget, bounding how stale coordinator feedback can
     /// get when sites outnumber cores.
-    pub fn backlog_hint(&self) -> u64 {
+    pub(crate) fn backlog_hint(&self) -> u64 {
         self.pool.pending.count()
     }
 
@@ -932,7 +977,7 @@ where
 /// Worker main loop: claim ready sites (own shard first, then steal) and
 /// serve each to exhaustion; park on the scheduler condvar when no shard
 /// has work.
-fn run_worker<S>(w: usize, pool: &Arc<Pool<S>>, coord_tx: &Sender<UpCmd<S::Up>>)
+fn run_worker<S>(w: usize, pool: &Arc<Pool<S>>, up: &Uplink<S::Up>)
 where
     S: Site,
     S::Item: Clone,
@@ -942,7 +987,7 @@ where
             return;
         }
         if let Some(idx) = pool.next_site(w) {
-            serve_site(pool, idx, coord_tx);
+            serve_site(pool, idx, up);
             continue;
         }
         let guard = pool.sched_lock.lock().unwrap_or_else(|e| e.into_inner());
@@ -959,27 +1004,27 @@ where
 }
 
 /// Light commands a worker may process per site claim before yielding to
-/// the next ready site. Heavy commands (a whole batched run) always end
-/// the claim on their own: serving one site's deep backlog to exhaustion
-/// would hold every other ready site's coordinator feedback (threshold
-/// updates, poll replies) hostage behind it, and feedback-starved sites
-/// over-communicate — the fairness quantum keeps service round-robin at
-/// run granularity, the interleaving an OS scheduler would give one
-/// thread per site for free.
+/// the next ready site. Heavy commands (a settled step or a whole
+/// free-running run) always end the claim on their own: serving one
+/// site's deep backlog to exhaustion would hold every other ready site's
+/// coordinator feedback (threshold updates, poll replies) hostage behind
+/// it, and feedback-starved sites over-communicate — the fairness quantum
+/// keeps service round-robin at run granularity, the interleaving an OS
+/// scheduler would give one thread per site for free.
 const LIGHT_QUANTUM: usize = 256;
 
 /// Serve one site-run: pop the site's queue in FIFO order up to the
 /// fairness quantum, handling each command; a still-busy site is
 /// requeued at the back of its home shard. A panic in any handler kills
 /// *the site*, not the worker.
-fn serve_site<S>(pool: &Arc<Pool<S>>, idx: usize, coord_tx: &Sender<UpCmd<S::Up>>)
+fn serve_site<S>(pool: &Arc<Pool<S>>, idx: usize, up: &Uplink<S::Up>)
 where
     S: Site,
     S::Item: Clone,
 {
     let mut exec = pool.lock_exec(idx);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        serve_commands(pool, idx, &mut exec, coord_tx)
+        serve_commands(pool, idx, &mut exec, up)
     }));
     let delta = exec.meter.total_words() - exec.words_reported;
     if delta > 0 {
@@ -1010,7 +1055,7 @@ fn serve_commands<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
-    coord_tx: &Sender<UpCmd<S::Up>>,
+    up: &Uplink<S::Up>,
 ) -> Serve
 where
     S: Site,
@@ -1039,8 +1084,8 @@ where
                 }
             }
         };
-        let heavy = matches!(cmd, ShardCmd::Run(..) | ShardCmd::Batch { .. });
-        handle_cmd(pool, idx, exec, cmd, coord_tx);
+        let heavy = matches!(cmd, ShardCmd::Run(..) | ShardCmd::Step { .. });
+        handle_cmd(pool, idx, exec, cmd, up);
         light += 1;
         if heavy || light >= LIGHT_QUANTUM {
             let q = pool.lock_queue(idx);
@@ -1067,212 +1112,95 @@ where
     }
 }
 
-/// Meter and forward one step's upstream messages. Each message carries
-/// its own pending token, created before the input command's token is
-/// released, so the counter cannot dip to zero mid-cascade. A dead
-/// coordinator just drops the ups (their tokens release with the failed
-/// send); `shutdown` reports it.
-fn flush_ups<S>(
-    pool: &Pool<S>,
-    id: SiteId,
-    out: &mut Vec<S::Up>,
-    meter: &mut MessageMeter,
-    coord_tx: &Sender<UpCmd<S::Up>>,
-    tracer: &mut SiteTracer,
-) where
-    S: Site,
-{
-    for up in out.drain(..) {
-        meter.record_up(up.kind(), up.size_words());
-        tracer.record(TraceEventKind::UpHop {
-            kind: up.kind(),
-            words: up.size_words(),
-        });
-        let token = PendingToken::new(&pool.pending);
-        let _ = coord_tx.send((id, up, token));
-    }
-}
-
-/// Run one `on_items` step of the in-progress batch: consume a quiescent
-/// prefix, forward any triggered ups, then report progress (after the
-/// ups, so the feeder's settle observes the whole cascade).
-fn batch_step<S>(
-    pool: &Pool<S>,
-    idx: usize,
-    exec: &mut SiteExec<S>,
-    coord_tx: &Sender<UpCmd<S::Up>>,
-) where
-    S: Site,
-    S::Item: Clone,
-{
-    let SiteExec {
-        site,
-        meter,
-        batch,
-        out,
-        tracer,
-        ..
-    } = exec;
-    let (Some(site), Some(cur)) = (site.as_mut(), batch.as_mut()) else {
-        debug_assert!(false, "Resume without a live site and batch in progress");
-        return;
-    };
-    debug_assert!(out.is_empty());
-    let consumed = site.on_items(&cur.items[cur.off..], out);
-    debug_assert!(consumed > 0, "on_items must make progress");
-    cur.off += consumed.max(1);
-    tracer.record(TraceEventKind::ItemRun {
-        items: consumed.max(1) as u64,
-    });
-    flush_ups(pool, SiteId(idx as u32), out, meter, coord_tx, tracer);
-    let finished = cur.off >= cur.items.len();
-    // A dropped feeder (it errored out mid-batch) is not this worker's
-    // problem; keep serving the queue.
-    let _ = cur.progress.send(consumed);
-    if finished {
-        *batch = None;
-    }
-}
-
 fn handle_cmd<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
     cmd: ShardCmd<S>,
-    coord_tx: &Sender<UpCmd<S::Up>>,
+    up: &Uplink<S::Up>,
 ) where
     S: Site,
     S::Item: Clone,
 {
-    let id = SiteId(idx as u32);
     // Each tracked command's token lives to the end of the match arm:
     // outputs are enqueued (and counted) before the input is released.
     match cmd {
         ShardCmd::Item(item, token) => {
-            let SiteExec {
-                site,
-                meter,
-                out,
-                tracer,
-                ..
-            } = exec;
-            let Some(site) = site.as_mut() else { return };
-            site.on_item(item, out);
-            tracer.record(TraceEventKind::ItemRun { items: 1 });
-            flush_ups(pool, id, out, meter, coord_tx, tracer);
+            exec.step(std::slice::from_ref(&item), up);
             drop(token);
         }
-        ShardCmd::Batch {
+        ShardCmd::Step {
             items,
+            from,
             progress,
             token,
         } => {
-            debug_assert!(exec.batch.is_none(), "overlapping batches on one site");
-            exec.batch = Some(BatchState {
-                items,
-                off: 0,
-                progress,
-            });
-            batch_step(pool, idx, exec, coord_tx);
-            drop(token);
-        }
-        ShardCmd::Resume(token) => {
-            batch_step(pool, idx, exec, coord_tx);
+            // A dead site drops `progress`, and with it the feeder's wait;
+            // a feeder that errored out is not waiting at all.
+            if let Some(consumed) = exec.step(&items[from..], up) {
+                let _ = progress.send((items, consumed));
+            }
             drop(token);
         }
         ShardCmd::Run(items, done, token) => {
-            run_step(pool, idx, exec, &items, coord_tx);
+            run_step(pool, idx, exec, &items, up);
             // A feeder that dropped its ticket is not waiting; ignore.
             let _ = done.send(());
             drop(token);
         }
         ShardCmd::Down(msg, token) => {
-            let SiteExec {
-                site,
-                meter,
-                out,
-                tracer,
-                ..
-            } = exec;
-            let Some(site) = site.as_mut() else { return };
-            meter.record_down(msg.kind(), msg.size_words());
-            tracer.record(TraceEventKind::DownHop {
-                kind: msg.kind(),
-                words: msg.size_words(),
-            });
-            site.on_message(&msg, out);
-            flush_ups(pool, id, out, meter, coord_tx, tracer);
+            exec.down(&msg, up);
             drop(token);
         }
         ShardCmd::Stall(micros, token) => {
-            std::thread::sleep(std::time::Duration::from_micros(micros));
+            std::thread::sleep(Duration::from_micros(micros));
             drop(token);
         }
     }
 }
 
 /// Consume one free-running run to completion, applying coordinator
-/// feedback that has already arrived between `on_items` steps: Downs
-/// from the front of the site's queue are processed immediately, other
-/// commands are deferred in order and put back at the front afterwards.
+/// feedback that has already arrived between steps: Downs from the
+/// front of the site's queue are processed immediately, other commands
+/// are deferred in order and put back at the front afterwards.
 fn run_step<S>(
     pool: &Pool<S>,
     idx: usize,
     exec: &mut SiteExec<S>,
     items: &[S::Item],
-    coord_tx: &Sender<UpCmd<S::Up>>,
+    up: &Uplink<S::Up>,
 ) where
     S: Site,
     S::Item: Clone,
 {
-    let id = SiteId(idx as u32);
     let mut deferred: VecDeque<ShardCmd<S>> = VecDeque::new();
-    {
-        let SiteExec {
-            site,
-            meter,
-            out,
-            tracer,
-            ..
-        } = exec;
-        let Some(site) = site.as_mut() else { return };
-        let mut off = 0;
-        while off < items.len() {
-            debug_assert!(out.is_empty());
-            let consumed = site.on_items(&items[off..], out);
-            debug_assert!(consumed > 0, "on_items must make progress");
-            off += consumed.max(1);
-            tracer.record(TraceEventKind::ItemRun {
-                items: consumed.max(1) as u64,
-            });
-            flush_ups(pool, id, out, meter, coord_tx, tracer);
-            // Apply already-arrived feedback before consuming further
-            // items, as it would land under per-item delivery — without
-            // this, feedback-driven protocols run the whole batch
-            // against stale thresholds and flood the channel.
-            loop {
-                let next = {
-                    let mut q = pool.lock_queue(idx);
-                    match q.cmds.pop_front() {
-                        Some(cmd) => {
-                            pool.sites[idx].space_cv.notify_one();
-                            cmd
-                        }
-                        None => break,
+    let mut off = 0;
+    while off < items.len() {
+        let Some(consumed) = exec.step(&items[off..], up) else {
+            break;
+        };
+        off += consumed;
+        // Apply already-arrived feedback before consuming further items,
+        // as it would land under per-item delivery — without this,
+        // feedback-driven protocols run the whole batch against stale
+        // thresholds and flood the channel.
+        loop {
+            let next = {
+                let mut q = pool.lock_queue(idx);
+                match q.cmds.pop_front() {
+                    Some(cmd) => {
+                        pool.sites[idx].space_cv.notify_one();
+                        cmd
                     }
-                };
-                if let ShardCmd::Down(msg, down_token) = next {
-                    meter.record_down(msg.kind(), msg.size_words());
-                    tracer.record(TraceEventKind::DownHop {
-                        kind: msg.kind(),
-                        words: msg.size_words(),
-                    });
-                    site.on_message(&msg, out);
-                    flush_ups(pool, id, out, meter, coord_tx, tracer);
-                    drop(down_token);
-                } else {
-                    deferred.push_back(next);
+                    None => break,
                 }
+            };
+            match next {
+                ShardCmd::Down(msg, token) => {
+                    exec.down(&msg, up);
+                    drop(token);
+                }
+                other => deferred.push_back(other),
             }
         }
     }
@@ -1691,6 +1619,37 @@ mod tests {
         );
     }
 
+    /// A site that dies mid-`feed_batch` (the settled path, one `Step`
+    /// per quiescent step): the feeder gets `WorkerGone`, `settle` still
+    /// returns, the other sites keep serving, and `shutdown` reports the
+    /// death.
+    #[test]
+    fn feed_batch_surfaces_a_site_death() {
+        let sites = (0..4).map(|_| PoisonSite).collect();
+        let cluster = ShardedCluster::spawn_with(sites, SumCoord::default(), cfg(2)).unwrap();
+        let batch: Vec<(SiteId, u64)> = [1, 2, POISON, 3]
+            .into_iter()
+            .map(|item| (SiteId(0), item))
+            .collect();
+        assert_eq!(
+            cluster.feed_batch(&batch).unwrap_err(),
+            SimError::WorkerGone { who: "site" }
+        );
+        cluster.settle();
+        cluster
+            .feed_batch(&[(SiteId(1), 4), (SiteId(1), 5), (SiteId(2), 6)])
+            .unwrap();
+        cluster.feed(SiteId(3), 7).unwrap();
+        cluster.settle();
+        // Items 1 and 2 reached the coordinator before the death; 4-7
+        // were served by the surviving sites.
+        assert_eq!(cluster.with_coordinator(|c| c.ups).unwrap(), 6);
+        assert_eq!(
+            cluster.shutdown().unwrap_err(),
+            SimError::WorkerGone { who: "site" }
+        );
+    }
+
     /// A coordinator that panics on the poison value — the stand-in for
     /// the coordinator dying mid-run.
     #[derive(Debug, Default)]
@@ -1834,7 +1793,7 @@ mod tests {
         let tokens: Vec<PendingToken> = (0..64).map(|_| PendingToken::new(&pending)).collect();
         let waiter = {
             let pending = Arc::clone(&pending);
-            std::thread::spawn(move || pending.wait_idle())
+            std::thread::spawn(move || pending.wait_idle(None))
         };
         let dropper = std::thread::spawn(move || {
             for t in tokens {
@@ -1842,7 +1801,21 @@ mod tests {
             }
         });
         dropper.join().unwrap();
-        waiter.join().unwrap();
+        assert_eq!(waiter.join().unwrap(), Ok(()));
         assert_eq!(pending.count.load(Ordering::SeqCst), 0);
+    }
+
+    /// A deadline expires while a token is held, and the count still
+    /// drains afterwards: nothing was cancelled.
+    #[test]
+    fn pending_wait_idle_times_out_under_a_held_token() {
+        let pending = Arc::new(Pending::default());
+        let token = PendingToken::new(&pending);
+        assert_eq!(
+            pending.wait_idle(Some(Duration::from_millis(5))),
+            Err(SimError::Timeout { waited_ms: 5 })
+        );
+        drop(token);
+        assert_eq!(pending.wait_idle(Some(Duration::from_millis(5))), Ok(()));
     }
 }

@@ -459,7 +459,8 @@ impl Tracker {
     /// Block until the system is quiescent (no-op on the deterministic
     /// backend).
     pub fn settle(&mut self) {
-        self.inner.settle();
+        // Without a deadline the wait cannot time out.
+        let _ = self.inner.settle(None);
     }
 
     /// Deadline-aware [`Tracker::settle`]: wait at most `deadline` for
@@ -467,7 +468,7 @@ impl Tracker {
     /// graceful-degradation path when a site may be stalled or dead. The
     /// tracker stays usable after a timeout.
     pub fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        self.inner.settle_deadline(deadline)
+        self.inner.settle(Some(deadline))
     }
 
     /// Reach quiescence before a read: bounded by the builder's
@@ -475,13 +476,7 @@ impl Tracker {
     /// site degrades the read to an error instead of parking the caller
     /// forever.
     fn quiesce(&mut self) -> Result<(), SimError> {
-        match self.deadline {
-            Some(deadline) => self.inner.settle_deadline(deadline),
-            None => {
-                self.inner.settle();
-                Ok(())
-            }
-        }
+        self.inner.settle(self.deadline)
     }
 
     /// Install the flow controller's reference communication rate
