@@ -127,16 +127,6 @@ impl HhLowerBound {
         }
     }
 
-    /// Total number of items across setup and all rounds.
-    pub fn total_items(&self) -> u64 {
-        self.setup.len() as u64
-            + self
-                .rounds
-                .iter()
-                .map(|r| r.chaff + r.rises.iter().map(|e| e.copies).sum::<u64>())
-                .sum::<u64>()
-    }
-
     /// Total number of forced heavy-hitter changes (one per rise event).
     pub fn forced_changes(&self) -> u64 {
         self.rounds.iter().map(|r| r.rises.len() as u64).sum()

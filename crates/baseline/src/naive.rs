@@ -254,7 +254,7 @@ impl WireMessage for PollUp {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("PollUp")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(PollUp::CountDelta(r.u64()?)),
             1 => Ok(PollUp::Summary(EquiDepthSummary::wire_decode(r)?)),

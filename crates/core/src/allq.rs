@@ -350,10 +350,17 @@ fn build_rec(
     let split = merged.select(target).and_then(|v| {
         // Must be strictly inside the range; for duplicate-saturated
         // ranges fall back to isolating the heavy value at lo into its
-        // own unit leaf.
+        // own unit leaf. That only helps when the estimate puts mass at
+        // lo: otherwise the left child is empty and the right one keeps
+        // the whole rank interval on a range one value narrower, so past
+        // the last separator the build would walk the tail one value per
+        // node.
         if v > range.lo && range.hi.is_none_or(|h| v < h) {
             Some(v)
-        } else if v <= range.lo && range.hi.is_none_or(|h| range.lo + 1 < h) {
+        } else if v <= range.lo
+            && range.hi.is_none_or(|h| range.lo + 1 < h)
+            && merged.rank_estimate(range.lo + 1) > rank_lo
+        {
             Some(range.lo + 1)
         } else {
             None
@@ -517,7 +524,7 @@ impl WireMessage for AqUp {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("AqUp")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(AqUp::Raw { item: r.u64()? }),
             1 => Ok(AqUp::NodeDelta {
@@ -561,7 +568,7 @@ impl WireMessage for AqDown {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("AqDown")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(AqDown::SummaryPoll),
             1 => Ok(AqDown::InstallTree {
@@ -1336,6 +1343,29 @@ mod tests {
         for w in leaves.windows(2) {
             assert_eq!(w[0].hi, Some(w[1].lo));
         }
+    }
+
+    #[test]
+    fn tree_build_stops_past_the_last_separator() {
+        // 1,024 values summarized at step 25: 40 separators, and an
+        // estimated 12 items past the last one, above the leaf limit of
+        // 10. No split can divide that tail, so it stays one oversized
+        // leaf, and the tree has two internal nodes per separator: 161
+        // nodes. Splitting the tail at lo + 1 over and over, one value
+        // per node, made 399 on this bounded range and overflows the
+        // stack on `ValueRange::all()`.
+        let mut st = 5u64;
+        let mut vals: Vec<u64> = (0..1024).map(|_| xorshift(&mut st) % 4096).collect();
+        vals.sort_unstable();
+        let s = EquiDepthSummary::from_sorted(&vals, 25);
+        let seps = s.separators().len();
+        let merged = MergedSummary::new(vec![s]);
+        let tree = Tree::build(&merged, ValueRange::new(0, Some(4096)), 10);
+        assert!(
+            tree.len() <= 4 * seps + 1,
+            "{} nodes for {seps} separators",
+            tree.len()
+        );
     }
 
     fn check_all_quantiles(

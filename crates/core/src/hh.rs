@@ -177,7 +177,7 @@ impl WireMessage for HhUp {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("HhUp")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(HhUp::Raw { item: r.u64()? }),
             1 => Ok(HhUp::AllSignal { delta: r.u64()? }),
@@ -211,7 +211,7 @@ impl WireMessage for HhDown {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("HhDown")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(HhDown::Start { m: r.u64()? }),
             1 => Ok(HhDown::SyncPoll),
@@ -406,11 +406,6 @@ impl HhCoordinator {
     /// bounded by `log_{1+ε/3} n = O(log n / ε)`.
     pub fn resyncs(&self) -> u64 {
         self.resyncs
-    }
-
-    /// Number of items with a tracked count (coordinator memory).
-    pub fn tracked_items(&self) -> usize {
-        self.counts.len()
     }
 
     /// Classify `x`: report iff `C.m_x / C.m >= φ − ε/2` (exact rule

@@ -302,7 +302,7 @@ impl WireMessage for QUp {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("QUp")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(QUp::Raw { item: r.u64()? }),
             1 => Ok(QUp::IntervalDelta {
@@ -381,7 +381,7 @@ impl WireMessage for QDown {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("QDown")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(QDown::SummaryPoll),
             1 => Ok(QDown::Install {
@@ -779,11 +779,6 @@ impl QuantileCoordinator {
             Some(store) => store.len(),
             None => self.n_base + self.dl + self.dr,
         }
-    }
-
-    /// Estimated rank of the tracked pivot.
-    pub fn pivot_rank_estimate(&self) -> u64 {
-        self.r_base + self.dl
     }
 
     /// Structural operation counters.

@@ -133,7 +133,7 @@ impl WireMessage for WUp {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("WUp")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(WUp::CountDelta { delta: r.u64()? }),
             1 => Ok(WUp::ItemDelta {
@@ -555,7 +555,7 @@ impl WireMessage for WqUp {
     }
 
     fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let (tag, offset) = r.tag("WqUp")?;
+        let (tag, offset) = r.tag()?;
         match tag {
             0 => Ok(WqUp::CountDelta { delta: r.u64()? }),
             1 => Ok(WqUp::EpochSummary {

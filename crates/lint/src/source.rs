@@ -13,8 +13,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::config::Rule;
-
 /// Token kind in the flattened stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
@@ -318,14 +316,6 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> Result<(),
         }
     }
     Ok(())
-}
-
-/// Convenience: the rules a unit is subject to under `cfg`.
-pub fn rules_for(cfg: &crate::config::Config, path: &str) -> Vec<Rule> {
-    Rule::ALL
-        .into_iter()
-        .filter(|r| cfg.in_scope(*r, path))
-        .collect()
 }
 
 #[cfg(test)]

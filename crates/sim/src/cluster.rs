@@ -316,13 +316,6 @@ where
     }
 
     fn deliver_down(&mut self, dst: SiteId, msg: &S::Down) -> Result<(), SimError> {
-        // A dead site receives nothing: the hop is dropped *before*
-        // metering (downs are metered at the receiving side, and nothing
-        // is received), matching the parallel runtimes' skip-on-send.
-        if self.dead.get(dst.index()).copied().unwrap_or(false) {
-            return Ok(());
-        }
-        self.meter.record_down(msg.kind(), msg.size_words());
         let k = self.sites.len() as u32;
         let s = self
             .sites
@@ -331,6 +324,14 @@ where
                 site: dst.0,
                 sites: k,
             })?;
+        // Downs are metered at the receiving side, so a hop nobody
+        // receives is never metered: one to a site that does not exist is
+        // an error, and one to a dead site is dropped, matching the
+        // parallel runtimes' skip-on-send.
+        if self.dead[dst.index()] {
+            return Ok(());
+        }
+        self.meter.record_down(msg.kind(), msg.size_words());
         debug_assert!(self.site_buf.is_empty());
         s.on_message(msg, &mut self.site_buf);
         self.tracers[dst.index()].record(TraceEventKind::DownHop {
@@ -490,6 +491,28 @@ mod tests {
         let mut c = cluster(2);
         let err = c.feed_batch(&[(SiteId(0), 1), (SiteId(9), 2)]).unwrap_err();
         assert_eq!(err, SimError::NoSuchSite { site: 9, sites: 2 });
+    }
+
+    /// A coordinator that answers every up with a unicast to site 2,
+    /// which a two-site cluster does not have.
+    #[derive(Debug, Default)]
+    struct StrayCoord;
+    impl Coordinator for StrayCoord {
+        type Up = FwdUp;
+        type Down = FwdDown;
+        fn on_message(&mut self, _from: SiteId, _msg: FwdUp, out: &mut Outbox<FwdDown>) {
+            out.unicast(SiteId(2), FwdDown::Ack);
+        }
+    }
+
+    #[test]
+    fn unicast_to_missing_site_errors_unmetered() {
+        let sites = vec![FwdSite::default(), FwdSite::default()];
+        let mut c = Cluster::new(sites, StrayCoord).unwrap();
+        let err = c.feed(SiteId(0), 1).unwrap_err();
+        assert_eq!(err, SimError::NoSuchSite { site: 2, sites: 2 });
+        assert_eq!(c.meter().up().messages, 1);
+        assert_eq!(c.meter().down().messages, 0);
     }
 
     #[test]
